@@ -25,3 +25,11 @@ class InvalidChannelError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Raised when an internal invariant is violated (indicates a bug)."""
+
+
+def wrap_error(exc: Exception, message: str) -> Exception:
+    """`message` as exc's type if that takes a lone message, else as RuntimeError."""
+    try:
+        return type(exc)(message)
+    except Exception:
+        return RuntimeError(message)

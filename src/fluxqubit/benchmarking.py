@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError
+from . import ConsistencyError, wrap_error
 from .analysis import FitResult, fit_nlls
 from .cliffords import (
     CliffordGate,
@@ -244,13 +244,6 @@ def _sequence_rng(seed: int, kind: str, length_index: int, sequence_index: int):
     )
 
 
-def _wrap_backend_error(exc: Exception, message: str) -> Exception:
-    try:
-        return type(exc)(message)
-    except Exception:
-        return RuntimeError(message)
-
-
 def run_rb(backend, config: RBConfig, *, keep_sequences: bool = False,
            seconds_per_sequence: float = 0.0):
     """Standard RB: returns a DecayRecord of P_g (and sequences if asked)."""
@@ -271,7 +264,7 @@ def run_rb(backend, config: RBConfig, *, keep_sequences: bool = False,
                 else:
                     p_g = backend.run(compiled.pulses, config.shots, rng)
             except Exception as exc:
-                raise _wrap_backend_error(
+                raise wrap_error(
                     exc, f"backend failed at length {m}, sequence {j}: {exc}"
                 ) from exc
             values[i_m].append(float(p_g))
@@ -321,7 +314,7 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
                 try:
                     p_g = backend.run(compiled.pulses, config.shots, rng)
                 except Exception as exc:
-                    raise _wrap_backend_error(
+                    raise wrap_error(
                         exc, f"backend failed at length {m}, sequence {j} ({label}): {exc}"
                     ) from exc
                 expectations[label] = 2.0 * p_g - 1.0

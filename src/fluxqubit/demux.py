@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import CalibrationError
+from . import CalibrationError, FitError
 from .analysis import fit_nlls
 from .pulsesim import (
     GROUND_STATE,
@@ -36,11 +36,11 @@ from .pulsesim import (
     Segment,
     current_from_freq,
     measure,
+    pulse_segments,
     rabi_chevron,
     ramsey_axis_scan,
     run_segments,
-    _steps_for_segments,
-    _step_unitary,
+    segment_propagator,
 )
 from .qcore import bloch_rotation, phase_aligned_distance
 from .tomography import (
@@ -150,7 +150,7 @@ def nominal_calibration(p: DeviceParams, drive_amplitude: float) -> Calibration:
 def _fit_column_contrast(t_grid, column):
     try:
         fit = fit_nlls("cosine_fringe", t_grid, column)
-    except Exception:
+    except FitError:
         return 0.0
     return 2.0 * abs(fit["A"]) if fit.converged else 0.0
 
@@ -384,12 +384,7 @@ def sequence_segments(seq: DemuxSequence, *, distortion: Optional[FluxDistortion
                 start = max(cursor, start + rng.normal(0.0, distortion.timing_jitter_ns))
         if start > cursor + 1e-12:
             segments.append(Segment(start - cursor, 0.0, 0.0, False))
-        if pulse.rise_time > 0:
-            segments.append(Segment(pulse.rise_time, 0.0, delta_i, True))
-        if pulse.duration > 0:
-            segments.append(Segment(pulse.duration, delta_i, delta_i, True))
-        if pulse.rise_time > 0:
-            segments.append(Segment(pulse.rise_time, delta_i, 0.0, True))
+        segments += pulse_segments(delta_i, pulse.duration, pulse.rise_time, True)
         cursor = start + pulse.duration + 2 * pulse.rise_time
         if distortion is not None and distortion.settle_amplitude > 0:
             tau = distortion.settle_tau_ns
@@ -409,12 +404,9 @@ def sequence_segments(seq: DemuxSequence, *, distortion: Optional[FluxDistortion
 def sequence_unitary(p: DeviceParams, seq: DemuxSequence, *,
                      drive_amplitude: float, dt: float = 0.05) -> np.ndarray:
     """Noiseless drive-frame unitary realized by a compiled program."""
-    steps = _steps_for_segments(
-        p, sequence_segments(seq), dt, drive_amplitude, resolve_constant=False
-    )
     u = np.eye(2, dtype=complex)
-    for tau, delta, omega, _ in steps:
-        u = _step_unitary(delta, omega, tau) @ u
+    for seg in sequence_segments(seq):
+        u = segment_propagator(p, seg, dt, drive_amplitude) @ u
     return u
 
 

@@ -9,18 +9,23 @@ frequency f_cw with
     delta(t) = f_q(t) - f_cw,
 
 where Omega_R = rabi_per_volt * drive_amplitude.  The drive phase is fixed;
-rotation-axis angles arise purely from pulse timing.  Each integration step
-applies the exact 2x2 exponential of the Hamiltonian sampled at the step
-midpoint, followed by amplitude-damping and pure-dephasing Kraus maps with
-rates 1/T1(f) and 1/T_phi = 1/T2 - 1/(2 T1).  Constant-flux segments are
-exact at any step size; the step size only controls accuracy through ramps
-and the sampling density of recorded time series.
+rotation-axis angles arise purely from pulse timing.
+
+A schedule is cut into segments of constant or linearly ramped flux, and
+each segment becomes one memoised 4x4 Pauli transfer matrix (PTM); segments
+compose by matrix product.  A step is the exact 2x2 exponential at the step
+midpoint, then amplitude damping at 1/T1(f) and dephasing at 1/T2 - 1/(2 T1).
+A ramp is the product of its ceil(duration / dt) steps; a constant segment
+is one exact step, or with T1/T2 the n-th matrix power of its step map.  The
+step size only sets the accuracy of ramps and T1/T2 and the sampling of time
+series.
 
 Units: times in ns, frequencies in GHz, currents in uA, T1/T2 in us.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,10 +33,21 @@ from typing import Optional
 import numpy as np
 
 from . import ConsistencyError
-from .qcore import excited_population, validate_density_matrix
+from .qcore import (
+    IDENTITY,
+    SIGMA_X,
+    SIGMA_Z,
+    density_from_pauli_vector,
+    excited_population,
+    pauli_vector,
+    ptm_from_kraus,
+    ptm_from_unitary,
+    validate_density_matrix,
+)
 
 GROUND_STATE = np.array([[1, 0], [0, 0]], dtype=complex)
 EXCITED_STATE = np.array([[0, 0], [0, 1]], dtype=complex)
+LOWERING = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
 
 DT_SAFETY_FACTOR = 0.05  # dt <= 0.05 / max(|detuning|, Omega_R)
 TRACE_TOL_PER_US = 1e-9
@@ -63,10 +79,14 @@ class DeviceParams:
     readout_f: float = 0.0       # GHz, informational
 
     def __post_init__(self):
-        if self.f_max <= 0:
-            raise ValueError("f_max must be positive")
-        if self.i_period <= 0:
-            raise ValueError("i_period must be positive")
+        object.__setattr__(self, "tls_dips", tuple(self.tls_dips))  # hashable memo key
+        if any(isinstance(v, float) and math.isnan(v) for v in vars(self).values()):
+            raise ValueError("device parameters must not be NaN")
+        for name in ("f_max", "i_period", "f_cw", "t1", "t2"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.rabi_per_volt < 0:
+            raise ValueError("rabi_per_volt must be non-negative")
         if not (0.0 < self.visibility <= 1.0):
             raise ValueError("visibility must be in (0, 1]")
         if self.t2 > 2 * self.t1 + 1e-9:
@@ -162,14 +182,15 @@ def current_from_freq(p: DeviceParams, f: float, reference: Optional[float] = No
     return p.i_offset + side * float(offset)
 
 
-def t1_at_frequency(p: DeviceParams, f: float) -> float:
-    """T1 in us including Lorentzian dip contributions at frequency f."""
-    rate = 0.0 if math.isinf(p.t1) else 1.0 / p.t1
+def t1_at_frequency(p: DeviceParams, f):
+    """T1 in us including Lorentzian dip contributions at frequency f (scalar or array)."""
+    rate = np.full(np.shape(f), 0.0 if math.isinf(p.t1) else 1.0 / p.t1)
     for dip in p.tls_dips:
         half_width = 0.5 * dip.width_mhz * 1e-3  # GHz
         lorentz = half_width**2 / ((f - dip.center_ghz) ** 2 + half_width**2)
-        rate += lorentz / dip.t1_dip_us
-    return math.inf if rate == 0.0 else 1.0 / rate
+        rate = rate + lorentz / dip.t1_dip_us
+    with np.errstate(divide="ignore"):
+        return 1.0 / rate
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +207,12 @@ class Segment:
     drive: bool
 
 
+def pulse_segments(delta_i: float, duration: float, rise_time: float, drive: bool):
+    """Rise ramp, flat top and fall ramp of one flux pulse; empty parts are left out."""
+    parts = ((rise_time, 0.0, delta_i), (duration, delta_i, delta_i), (rise_time, delta_i, 0.0))
+    return [Segment(length, start, end, drive) for length, start, end in parts if length > 0]
+
+
 def segments_from_schedule(p: DeviceParams, s: PulseSchedule):
     """Break a schedule into constant and ramp segments covering [0, T]."""
     segments = []
@@ -199,118 +226,135 @@ def segments_from_schedule(p: DeviceParams, s: PulseSchedule):
 
     for pulse in s.pulses:
         idle_until(pulse.start)
-        if pulse.rise_time > 0:
-            segments.append(Segment(pulse.rise_time, 0.0, pulse.delta_i, s.drive_on))
-        if pulse.duration > 0:
-            segments.append(Segment(pulse.duration, pulse.delta_i, pulse.delta_i, s.drive_on))
-        if pulse.rise_time > 0:
-            segments.append(Segment(pulse.rise_time, pulse.delta_i, 0.0, s.drive_on))
+        segments += pulse_segments(pulse.delta_i, pulse.duration, pulse.rise_time, s.drive_on)
         cursor = pulse.end
     idle_until(s.total_duration)
     return segments
 
 
-def _step_unitary(delta: float, omega: float, tau: float) -> np.ndarray:
-    """Exact exponential of H/h = delta sz/2 + (omega/2) sx over tau ns."""
-    a = np.pi * tau * omega  # sigma_x coefficient
-    c = np.pi * tau * delta  # sigma_z coefficient
-    theta = math.hypot(a, c)
-    if theta == 0.0:
-        return np.eye(2, dtype=complex)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta) / theta
-    return np.array(
-        [[cos_t - 1j * sin_t * c, -1j * sin_t * a],
-         [-1j * sin_t * a, cos_t + 1j * sin_t * c]],
-        dtype=complex,
+def _step_unitary(delta, omega, tau) -> np.ndarray:
+    """Exact exponential of H/h = delta sz/2 + (omega/2) sx over tau ns.
+
+    Arguments broadcast; array arguments give a stack of 2x2 unitaries.
+    """
+    a = np.pi * np.multiply(tau, omega)[..., None, None]  # sigma_x coefficient
+    c = np.pi * np.multiply(tau, delta)[..., None, None]  # sigma_z coefficient
+    theta = np.hypot(a, c)
+    return np.cos(theta) * IDENTITY - 1j * np.sinc(theta / np.pi) * (a * SIGMA_X + c * SIGMA_Z)
+
+
+def _decoherence_ptm(p: DeviceParams, f_mid: np.ndarray, tau: float) -> np.ndarray:
+    """Amplitude damping with T1(f) then pure dephasing over tau ns, per f_mid."""
+    gamma = (1.0 - np.exp(-tau / (t1_at_frequency(p, f_mid) * 1e3)))[..., None, None]
+    ptm = ptm_from_kraus(
+        [GROUND_STATE + np.sqrt(1.0 - gamma) * EXCITED_STATE, np.sqrt(gamma) * LOWERING]
     )
-
-
-def _apply_decoherence(rho: np.ndarray, p: DeviceParams, f_mid: float, tau: float) -> np.ndarray:
-    """Amplitude damping with T1(f) plus pure dephasing, both over tau ns."""
-    t1 = t1_at_frequency(p, f_mid) * 1e3  # ns
-    if not math.isinf(t1):
-        gamma = 1.0 - math.exp(-tau / t1)
-        rho = np.array(
-            [[rho[0, 0] + gamma * rho[1, 1], math.sqrt(1 - gamma) * rho[0, 1]],
-             [math.sqrt(1 - gamma) * rho[1, 0], (1 - gamma) * rho[1, 1]]],
-        )
-    dephasing_rate = 0.0
+    dephasing_rate = 0.0  # 1/T_phi in 1/ns
     if not math.isinf(p.t2):
-        dephasing_rate = 1.0 / (p.t2 * 1e3)
-        if not math.isinf(p.t1):
-            dephasing_rate -= 0.5 / (p.t1 * 1e3)
+        dephasing_rate = 1.0 / (p.t2 * 1e3) - (0.0 if math.isinf(p.t1) else 0.5 / (p.t1 * 1e3))
     if dephasing_rate > 0.0:
         decay = math.exp(-tau * dephasing_rate)
-        rho = np.array(
-            [[rho[0, 0], decay * rho[0, 1]], [decay * rho[1, 0], rho[1, 1]]]
-        )
-    return rho
+        ptm = ptm_from_kraus([math.sqrt(0.5 * (1.0 + decay)) * IDENTITY,
+                              math.sqrt(0.5 * (1.0 - decay)) * SIGMA_Z]) @ ptm
+    return ptm
 
 
 def _has_decoherence(p: DeviceParams) -> bool:
     return not math.isinf(p.t1) or not math.isinf(p.t2) or bool(p.tls_dips)
 
 
-def _steps_for_segments(p: DeviceParams, segments, dt: float, drive_amplitude: float,
-                        resolve_constant: bool):
-    steps = []
-    for seg in segments:
-        if seg.duration <= 1e-15:
-            continue
-        is_ramp = seg.di_start != seg.di_end
-        if is_ramp or resolve_constant:
-            n = max(1, int(math.ceil(seg.duration / dt)))
-        else:
-            n = 1
-        tau = seg.duration / n
-        omega = p.rabi_frequency(drive_amplitude) if seg.drive else 0.0
-        for k in range(n):
-            frac = (k + 0.5) / n
-            di_mid = seg.di_start + (seg.di_end - seg.di_start) * frac
-            f_mid = freq_from_current(p, p.i_idle + di_mid)
-            steps.append((tau, f_mid - p.f_cw, omega, f_mid))
-    return steps
+def _step_count(seg: Segment, dt: float) -> int:
+    return max(1, int(math.ceil(seg.duration / dt)))
+
+
+def _segment_steps(p: DeviceParams, seg: Segment, n: int, drive_amplitude: float):
+    """Step unitaries, midpoint frequencies and fastest rate of seg cut into n steps.
+
+    The rate is max(|detuning|, Omega_R) in GHz over the step midpoints.  A
+    constant segment has one distinct step, returned once.
+    """
+    omega = p.rabi_frequency(drive_amplitude) if seg.drive else 0.0
+    k = np.arange(n if seg.di_start != seg.di_end else 1)
+    di_mid = seg.di_start + (seg.di_end - seg.di_start) * ((k + 0.5) / n)
+    f_mid = freq_from_current(p, p.i_idle + di_mid)
+    delta = f_mid - p.f_cw
+    fastest = max(np.max(np.abs(delta)), omega)
+    return _step_unitary(delta, omega, seg.duration / n), f_mid, fastest
+
+
+def _step_maps(p: DeviceParams, seg: Segment, n: int, drive_amplitude: float):
+    """PTMs of the distinct steps (see _segment_steps) and the fastest rate."""
+    u, f_mid, fastest = _segment_steps(p, seg, n, drive_amplitude)
+    maps = ptm_from_unitary(u)
+    if _has_decoherence(p):
+        maps = _decoherence_ptm(p, f_mid, seg.duration / n) @ maps
+    return maps, fastest
+
+
+def _prefix_products(maps: np.ndarray) -> np.ndarray:
+    """[S_0, S_1 S_0, ..., S_n-1 ... S_0] in log2(n) rounds of stacked matmul."""
+    out, shift = np.array(maps), 1
+    while shift < len(out):
+        out[shift:] = out[shift:] @ out[:-shift]
+        shift *= 2
+    return out
+
+
+def segment_propagator(p: DeviceParams, seg: Segment, dt: float, drive_amplitude: float):
+    """Noiseless 2x2 propagator of one segment, stepped as segment_channel steps it."""
+    n = _step_count(seg, dt) if seg.di_start != seg.di_end else 1
+    return _prefix_products(_segment_steps(p, seg, n, drive_amplitude)[0])[-1]
+
+
+@functools.lru_cache(maxsize=1024)  # a QPT set has ~150 distinct segments
+def segment_channel(p: DeviceParams, seg: Segment, dt: float, drive_amplitude: float):
+    """Read-only PTM of one segment and its fastest rate in GHz (see module doc)."""
+    ramp = seg.di_start != seg.di_end
+    n = _step_count(seg, dt) if ramp or _has_decoherence(p) else 1
+    maps, fastest = _step_maps(p, seg, n, drive_amplitude)
+    ptm = _prefix_products(maps)[-1] if ramp else np.linalg.matrix_power(maps[0], n)
+    ptm.setflags(write=False)
+    return ptm, float(fastest)
 
 
 def run_segments(p: DeviceParams, segments, dt: float, rho0: np.ndarray,
                  drive_amplitude: float, collect_series: bool = True,
                  check_dt: bool = True) -> SimResult:
-    """Propagate rho0 through a segment list; the engine behind evolve()."""
-    rho = validate_density_matrix(rho0).astype(complex)
-    decohere = _has_decoherence(p)
-    steps = _steps_for_segments(
-        p, segments, dt, drive_amplitude,
-        resolve_constant=collect_series or decohere,
-    )
-    if check_dt and steps:
-        fastest = max(max(abs(s[1]), s[2]) for s in steps)
-        if fastest > 0 and dt > DT_SAFETY_FACTOR / fastest:
-            raise ValueError(
-                f"dt = {dt} ns is too coarse: need dt <= "
-                f"{DT_SAFETY_FACTOR / fastest:.4g} ns to resolve {fastest:.4g} GHz"
-            )
-    times = [0.0]
-    pes = [excited_population(rho)]
-    t = 0.0
-    for tau, delta, omega, f_mid in steps:
-        u = _step_unitary(delta, omega, tau)
-        rho = u @ rho @ u.conj().T
-        if decohere:
-            rho = _apply_decoherence(rho, p, f_mid, tau)
-        t += tau
+    """Propagate rho0 through a segment list; the engine behind evolve().
+
+    Without a series each segment applies its segment_channel.  With one,
+    every segment is cut into ceil(duration / dt) steps and the state after
+    each step comes from one stacked prefix product.
+    """
+    r = pauli_vector(validate_density_matrix(rho0))
+    times, vectors = [np.zeros(1)], [r[None, :]]
+    fastest = t = 0.0
+    for seg in segments:
+        if seg.duration <= 1e-15:
+            continue
         if collect_series:
-            times.append(t)
-            pes.append(excited_population(rho))
-    trace_error = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+            n = _step_count(seg, dt)
+            maps, rate = _step_maps(p, seg, n, drive_amplitude)
+            vectors.append(_prefix_products(np.broadcast_to(maps, (n, 4, 4))) @ r)
+            times.append(t + seg.duration * np.arange(1, n + 1) / n)
+            r = vectors[-1][-1]
+        else:
+            ptm, rate = segment_channel(p, seg, dt, drive_amplitude)
+            r = ptm @ r
+        fastest = max(fastest, rate)
+        t += seg.duration
+    if check_dt and fastest > 0 and dt > DT_SAFETY_FACTOR / fastest:
+        raise ValueError(
+            f"dt = {dt} ns is too coarse: need dt <= "
+            f"{DT_SAFETY_FACTOR / fastest:.4g} ns to resolve {fastest:.4g} GHz"
+        )
+    trace_error = abs(r[0] - 1.0)
     if trace_error > TRACE_TOL_PER_US * max(1.0, t / 1e3):
         raise ConsistencyError(f"state trace drifted by {trace_error:.3e}")
-    if not collect_series:
-        times = [t]
-        pes = [excited_population(rho)]
-    return SimResult(
-        times=np.asarray(times), pe=np.clip(np.asarray(pes), 0.0, 1.0), final_state=rho
-    )
+    vectors = np.concatenate(vectors) if collect_series else r[None, :]
+    times = np.concatenate(times) if collect_series else np.array([t])
+    pe = np.clip(0.5 * (vectors[:, 0] - vectors[:, 3]), 0.0, 1.0)
+    return SimResult(times=times, pe=pe, final_state=density_from_pauli_vector(r))
 
 
 def evolve(p: DeviceParams, s: PulseSchedule, dt: float, rho0: np.ndarray) -> SimResult:
@@ -364,9 +408,8 @@ def rabi_chevron(p: DeviceParams, delta_i_grid, t_grid, *, drive_amplitude: floa
                  shots: Optional[int] = None, seed: int = 0) -> np.ndarray:
     """P_e map over flux-pulse amplitude (columns) and duration (rows).
 
-    Without decoherence, each column reuses exact rise/fall propagators and a
-    closed-form flat-top exponential, so columns cost one small matrix product
-    per duration.
+    Without decoherence, each column reuses the cached rise and fall segment
+    maps and a closed-form flat-top exponential for all durations at once.
     """
     delta_i_grid = np.asarray(delta_i_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -387,32 +430,17 @@ def rabi_chevron(p: DeviceParams, delta_i_grid, t_grid, *, drive_amplitude: floa
                 )
                 out[i, j] = res.pe[-1]
         else:
-            f_flat = freq_from_current(p, p.i_idle + di)
-            delta_flat = f_flat - p.f_cw
-            rise = _ramp_propagator(p, 0.0, di, rise_time, dt, omega)
-            fall = _ramp_propagator(p, di, 0.0, rise_time, dt, omega)
-            for i, duration in enumerate(t_grid):
-                u = fall @ _step_unitary(delta_flat, omega, duration) @ rise
-                out[i, j] = abs(u[1, 0]) ** 2
+            rise, _ = segment_channel(p, Segment(rise_time, 0.0, di, True), dt, drive_amplitude)
+            fall, _ = segment_channel(p, Segment(rise_time, di, 0.0, True), dt, drive_amplitude)
+            delta_flat = freq_from_current(p, p.i_idle + di) - p.f_cw
+            flat = ptm_from_unitary(_step_unitary(delta_flat, omega, t_grid))
+            final = fall @ flat @ rise @ pauli_vector(GROUND_STATE)
+            out[:, j] = 0.5 * (final[:, 0] - final[:, 3])
     if shots is not None:
         out = _sample_map(p, out, shots, seed)
     else:
         out = observed_probability(p, out)
     return out
-
-
-def _ramp_propagator(p: DeviceParams, di_from: float, di_to: float,
-                     rise_time: float, dt: float, omega: float) -> np.ndarray:
-    if rise_time <= 0:
-        return np.eye(2, dtype=complex)
-    n = max(1, int(math.ceil(rise_time / dt)))
-    tau = rise_time / n
-    u = np.eye(2, dtype=complex)
-    for k in range(n):
-        di_mid = di_from + (di_to - di_from) * (k + 0.5) / n
-        delta = freq_from_current(p, p.i_idle + di_mid) - p.f_cw
-        u = _step_unitary(delta, omega, tau) @ u
-    return u
 
 
 def _check_chevron_dt(p: DeviceParams, di: float, omega: float, dt: float):
@@ -470,20 +498,9 @@ def ramsey_axis_scan(p: DeviceParams, delta_i_mid_grid, delta_t_mid_grid, *,
 def ramsey_segments(*, delta_i_res: float, t_half: float, di_mid: float,
                     t_mid: float, rise_time: float = 0.0):
     """Segment list for a half-pulse / free middle step / half-pulse sequence."""
-    segments = []
-
-    def pulse(di, duration):
-        if rise_time > 0:
-            segments.append(Segment(rise_time, 0.0, di, True))
-        segments.append(Segment(duration, di, di, True))
-        if rise_time > 0:
-            segments.append(Segment(rise_time, di, 0.0, True))
-
-    pulse(delta_i_res, t_half)
-    if t_mid > 0:
-        segments.append(Segment(t_mid, di_mid, di_mid, False))
-    pulse(delta_i_res, t_half)
-    return segments
+    half_pulse = pulse_segments(delta_i_res, t_half, rise_time, True)
+    middle = [Segment(t_mid, di_mid, di_mid, False)] if t_mid > 0 else []
+    return half_pulse + middle + half_pulse
 
 
 def swap_spectroscopy(p: DeviceParams, prepared: str, f_grid, t_grid, *,
@@ -503,7 +520,7 @@ def swap_spectroscopy(p: DeviceParams, prepared: str, f_grid, t_grid, *,
         raise ValueError("scan grids must be non-empty")
     if np.any(f_grid <= 0) or np.any(f_grid > p.f_max):
         raise ValueError("f_grid must lie within (0, f_max]")
-    t1_ns = np.array([t1_at_frequency(p, f) for f in f_grid]) * 1e3
+    t1_ns = t1_at_frequency(p, f_grid) * 1e3
     with np.errstate(over="ignore"):
         decay = np.exp(-np.outer(t_grid, 1.0 / t1_ns))
     pe = decay if prepared == "e" else np.zeros((t_grid.size, f_grid.size))

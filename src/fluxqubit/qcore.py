@@ -9,6 +9,9 @@ Conventions used throughout the package:
   d = 2.  The Choi matrix of the identity channel is 2 |Omega><Omega| with
   |Omega> the maximally entangled state.
 * Two unitaries are considered equal when they agree up to a global phase.
+* Pauli transfer matrices (PTMs) are real 4x4 matrices acting on the Pauli
+  vector (tr rho, <sx>, <sy>, <sz>), so channels compose by matrix product
+  (Greenbaum, arXiv:1509.02921).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI_BASIS = np.stack((IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z))
 
 KET_G = np.array([1, 0], dtype=complex)
 KET_E = np.array([0, 1], dtype=complex)
@@ -225,6 +229,39 @@ def average_gate_fidelity(c: np.ndarray, u_ideal: np.ndarray) -> float:
         raise ValueError("ideal gate is not unitary")
     f_pro = process_fidelity(c, u_ideal)
     return (2.0 * f_pro + 1.0) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# Pauli transfer matrices
+# ---------------------------------------------------------------------------
+
+def pauli_vector(rho: np.ndarray) -> np.ndarray:
+    """Real Pauli vector (tr rho, <sx>, <sy>, <sz>) of a 2x2 density matrix."""
+    return np.einsum("ab,iba->i", np.asarray(rho, dtype=complex), PAULI_BASIS).real
+
+
+def density_from_pauli_vector(r) -> np.ndarray:
+    """Inverse of pauli_vector: (r_0 I + r_x sx + r_y sy + r_z sz) / 2."""
+    return 0.5 * np.einsum("i,iab->ab", np.asarray(r, dtype=float), PAULI_BASIS)
+
+
+def ptm_from_kraus(kraus_ops) -> np.ndarray:
+    """PTM R_ij = sum_k tr(P_i K_k P_j K_k^dag) / 2; each K_k may be a stack.
+
+    Row 0 is computed, not assumed: it is (1, 0, 0, 0) only for a
+    trace-preserving set of Kraus operators.
+    """
+    ptm = 0.0
+    for k in kraus_ops:
+        k = np.asarray(k, dtype=complex)[..., None, :, :]
+        images = k @ PAULI_BASIS @ np.swapaxes(k, -1, -2).conj()
+        ptm = ptm + 0.5 * np.einsum("iab,...jba->...ij", PAULI_BASIS, images).real
+    return ptm
+
+
+def ptm_from_unitary(u: np.ndarray) -> np.ndarray:
+    """PTM of rho -> u rho u^dag (u may be a stack of unitaries)."""
+    return ptm_from_kraus([u])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError
+from . import ConsistencyError, wrap_error
 from .qcore import (
     CHOI_TRACE,
     IDENTITY,
@@ -134,8 +134,8 @@ def qpt_record(executor, shots: Optional[int], rng: Optional[np.random.Generator
             entries[index] = executor(prep_label, basis_label, shots, rng)
         except Exception as exc:
             name = f" for {gate_name}" if gate_name else ""
-            raise type(exc)(
-                f"executor failed at entry {index} ({prep_label}, {basis_label}){name}: {exc}"
+            raise wrap_error(
+                exc, f"executor failed at entry {index} ({prep_label}, {basis_label}){name}: {exc}"
             ) from exc
     return MeasurementRecord(entries=entries, shots=shots)
 

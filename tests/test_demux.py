@@ -229,3 +229,29 @@ def test_calibration_file_round_trip(tmp_path):
     assert loaded["t_pi_ns"] == cal.t_pi
     assert loaded["axis_period_ns"] == cal.axis_period
     assert loaded["phase_offset_rad"] == cal.phase_offset
+
+
+def test_calibrate_amplitude_treats_fit_errors_as_zero_contrast(monkeypatch):
+    from fluxqubit import FitError
+
+    def singular(*args, **kwargs):
+        raise FitError("singular Jacobian")
+
+    monkeypatch.setattr(dx, "fit_nlls", singular)
+    p = demux_device()
+    grid = dx.nominal_calibration(p, DRIVE).delta_i_res + np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(CalibrationError, match="no Rabi contrast"):
+        dx.calibrate_amplitude(p, delta_i_grid=grid, t_grid=np.linspace(0.0, 160.0, 41),
+                               drive_amplitude=DRIVE)
+
+
+def test_calibrate_amplitude_propagates_other_fit_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("bug in the fit model")
+
+    monkeypatch.setattr(dx, "fit_nlls", broken)
+    p = demux_device()
+    grid = dx.nominal_calibration(p, DRIVE).delta_i_res + np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ZeroDivisionError):
+        dx.calibrate_amplitude(p, delta_i_grid=grid, t_grid=np.linspace(0.0, 160.0, 41),
+                               drive_amplitude=DRIVE)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxqubit import analysis as an
 from fluxqubit import pulsesim as ps
+from fluxqubit import qcore as qc
 from fluxqubit.qcore import purity
 
 # Device constants fitted to the published frequency-current anchor points
@@ -304,3 +307,147 @@ def test_t1_at_frequency_dips_add_rates():
     assert abs(1.0 / at_center - (1.0 / 20.0 + 1.0 / 2.0)) < 1e-12
     far_away = ps.t1_at_frequency(p, 4.0)
     assert abs(far_away - 20.0) < 0.1
+
+
+def test_device_rejects_nonpositive_or_nan_coherence_times():
+    for t1, t2 in ((-5.0, -20.0), (0.0, np.inf), (np.nan, 10.0), (20.0, np.nan),
+                   (np.inf, 0.0)):
+        with pytest.raises(ValueError):
+            swap_device(t1=t1, t2=t2)
+    assert swap_device(t1=np.inf, t2=np.inf).t1 == np.inf
+
+
+def test_device_rejects_negative_rabi_rate():
+    with pytest.raises(ValueError):
+        swap_device(rabi_per_volt=-1.0)
+    assert swap_device(rabi_per_volt=0.0).rabi_frequency(0.7) == 0.0
+
+
+def test_device_rejects_nonpositive_drive_frequency():
+    for f_cw in (0.0, -4.644):
+        with pytest.raises(ValueError):
+            swap_device(f_cw=f_cw)
+
+
+def test_device_rejects_nan_in_any_field():
+    # NaN never compares equal, so it would also defeat the segment-map memo
+    with pytest.raises(ValueError):
+        swap_device(i_idle=np.nan)
+
+
+def test_device_is_hashable_with_a_list_of_dips():
+    dip = ps.TlsDip(center_ghz=5.10, width_mhz=40.0, t1_dip_us=0.5)
+    p = demux_device(tls_dips=[dip])
+    assert p.tls_dips == (dip,) and hash(p) == hash(demux_device(tls_dips=(dip,)))
+    segments = [ps.Segment(5.0, 0.0, 0.0, True)]
+    result = ps.run_segments(p, segments, 0.05, ps.GROUND_STATE, 0.7, collect_series=False)
+    assert result.pe[-1] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Engine equivalence: the segment-map engine against the step-by-step loop
+# ---------------------------------------------------------------------------
+
+def _oracle_step_unitary(delta, omega, tau):
+    a = np.pi * tau * omega
+    c = np.pi * tau * delta
+    theta = np.hypot(a, c)
+    if theta == 0.0:
+        return np.eye(2, dtype=complex)
+    sin_t = np.sin(theta) / theta
+    return np.array([[np.cos(theta) - 1j * sin_t * c, -1j * sin_t * a],
+                     [-1j * sin_t * a, np.cos(theta) + 1j * sin_t * c]])
+
+
+def _oracle_decoherence(rho, p, f_mid, tau):
+    t1 = ps.t1_at_frequency(p, f_mid) * 1e3
+    if not np.isinf(t1):
+        gamma = 1.0 - np.exp(-tau / t1)
+        rho = np.array(
+            [[rho[0, 0] + gamma * rho[1, 1], np.sqrt(1 - gamma) * rho[0, 1]],
+             [np.sqrt(1 - gamma) * rho[1, 0], (1 - gamma) * rho[1, 1]]])
+    rate = 0.0
+    if not np.isinf(p.t2):
+        rate = 1.0 / (p.t2 * 1e3) - (0.0 if np.isinf(p.t1) else 0.5 / (p.t1 * 1e3))
+    if rate > 0.0:
+        decay = np.exp(-tau * rate)
+        rho = np.array([[rho[0, 0], decay * rho[0, 1]], [decay * rho[1, 0], rho[1, 1]]])
+    return rho
+
+
+def _oracle_run(p, segments, dt, rho, drive_amplitude, collect_series):
+    """One Trotter step per dt: midpoint exponential, then the Kraus updates."""
+    decohere = not np.isinf(p.t1) or not np.isinf(p.t2) or bool(p.tls_dips)
+    times, pes, t, fastest = [0.0], [rho[1, 1].real], 0.0, 0.0
+    for seg in segments:
+        if seg.duration <= 1e-15:
+            continue
+        ramp = seg.di_start != seg.di_end
+        n = max(1, int(np.ceil(seg.duration / dt))) if ramp or collect_series or decohere else 1
+        tau = seg.duration / n
+        omega = p.rabi_frequency(drive_amplitude) if seg.drive else 0.0
+        for k in range(n):
+            di_mid = seg.di_start + (seg.di_end - seg.di_start) * ((k + 0.5) / n)
+            f_mid = ps.freq_from_current(p, p.i_idle + di_mid)
+            fastest = max(fastest, abs(f_mid - p.f_cw), omega)
+            u = _oracle_step_unitary(f_mid - p.f_cw, omega, tau)
+            rho = u @ rho @ u.conj().T
+            if decohere:
+                rho = _oracle_decoherence(rho, p, f_mid, tau)
+            t += tau
+            times.append(t)
+            pes.append(rho[1, 1].real)
+    return np.asarray(times), np.asarray(pes), rho, fastest
+
+
+_segment = st.builds(
+    lambda duration, di_start, di_end, ramp, drive: ps.Segment(
+        duration, di_start, di_end if ramp else di_start, drive),
+    st.sampled_from([0.0, 0.5]) | st.floats(0.0, 8.0),
+    st.floats(-3.0, 12.0), st.floats(-3.0, 12.0), st.booleans(), st.booleans(),
+)
+_coherence = st.sampled_from([(np.inf, np.inf), (20.0, 10.0), (3.0, 5.0), (np.inf, 2.0)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    segments=st.lists(_segment, min_size=1, max_size=4),
+    coherence=_coherence,
+    dip=st.booleans(),
+    dt=st.sampled_from([0.02, 0.05, 0.1, 0.5]),
+    drive_amplitude=st.sampled_from([0.0, 0.7, 1.3]),
+    bloch=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
+    collect_series=st.booleans(),
+)
+def test_run_segments_matches_step_loop(segments, coherence, dip, dt, drive_amplitude,
+                                        bloch, collect_series):
+    t1, t2 = coherence
+    dips = (ps.TlsDip(center_ghz=5.10, width_mhz=40.0, t1_dip_us=0.5),) if dip else ()
+    p = demux_device(t1=t1, t2=t2, tls_dips=dips)
+    v = np.asarray(bloch) / max(1.0, np.linalg.norm(bloch))
+    rho0 = 0.5 * (np.eye(2) + v[0] * qc.SIGMA_X + v[1] * qc.SIGMA_Y + v[2] * qc.SIGMA_Z)
+    times, pes, rho, fastest = _oracle_run(p, segments, dt, rho0, drive_amplitude,
+                                           collect_series)
+    if fastest > 0 and dt > ps.DT_SAFETY_FACTOR / fastest:
+        with pytest.raises(ValueError, match=f"need dt <= {ps.DT_SAFETY_FACTOR / fastest:.4g} ns"):
+            ps.run_segments(p, segments, dt, rho0, drive_amplitude,
+                            collect_series=collect_series)
+        return
+    result = ps.run_segments(p, segments, dt, rho0, drive_amplitude,
+                             collect_series=collect_series)
+    assert np.max(np.abs(result.final_state - rho)) <= 1e-10
+    if collect_series:
+        assert result.times.shape == times.shape
+        assert np.max(np.abs(result.times - times)) <= 1e-10
+        assert np.max(np.abs(result.pe - np.clip(pes, 0.0, 1.0))) <= 1e-10
+    else:
+        assert abs(result.times[-1] - times[-1]) <= 1e-10
+
+
+def test_segment_channel_is_memoised_and_read_only():
+    p = demux_device(t1=20.0, t2=10.0)
+    seg = ps.Segment(12.0, 0.0, 0.0, True)
+    ptm, fastest = ps.segment_channel(p, seg, 0.05, 0.7)
+    assert ps.segment_channel(p, seg, 0.05, 0.7)[0] is ptm
+    assert not ptm.flags.writeable
+    assert fastest == pytest.approx(max(abs(p.idle_frequency - p.f_cw), p.rabi_frequency(0.7)))

@@ -173,3 +173,23 @@ def test_apply_choi_rejects_unphysical_reconstruction_input():
     bad = np.diag([2.0, 0.5, 0.5, -1.0]).astype(complex)
     with pytest.raises(InvalidChannelError):
         qc.validate_choi(bad)
+
+
+def test_qpt_record_wraps_exceptions_that_need_extra_arguments():
+    class TwoArgError(Exception):
+        def __init__(self, code, detail):
+            super().__init__(f"{code}: {detail}")
+
+    def executor(prep_label, basis_label, shots, rng):
+        raise TwoArgError(7, "readout lost")
+
+    with pytest.raises(RuntimeError, match="entry 0 .* for X90: 7: readout lost") as info:
+        tm.qpt_record(executor, shots=None, gate_name="X90")
+    assert isinstance(info.value.__cause__, TwoArgError)
+
+    def failing(prep_label, basis_label, shots, rng):
+        raise KeyError("missing")
+
+    with pytest.raises(KeyError) as info:
+        tm.qpt_record(failing, shots=None)
+    assert isinstance(info.value.__cause__, KeyError)
