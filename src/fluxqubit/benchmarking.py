@@ -10,13 +10,20 @@ rotation to estimate <sx>, <sy>, <sz> and tracks the purity decay
 A' u^(m-1) + B' instead; the incoherent error is (1 - sqrt(u)) / 2.
 
 Backends implement `run(pulses, shots, rng) -> P_g estimate` where pulses
-are (rotation amount, axis angle) pairs.  The channel backend applies exact
-rotations followed by a configurable noise channel per pulse; the pulse
-backend adds fixed-duration T1/T2 decay per pulse.
+are (rotation amount, axis angle) pairs.  Both bundled backends turn each
+distinct pulse into one memoised, read-only 4x4 Pauli transfer matrix (PTM)
+and multiply a string's maps by a pairwise tree reduce; P_g is read from the
+product applied to |g>.  Virtual-Z compilation emits only 12 distinct
+pulses, so the cache stays small.  The channel backend's PTM is a rotation
+with over-rotation and axis error, then depolarizing, then amplitude
+damping; the pulse backend's is an ideal rotation, then fixed-duration T1
+damping and dephasing.  Depolarizing-only noise takes a closed-form
+survival shortcut instead (see ChannelBackend.supports_survival_shortcut).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,7 +42,7 @@ from .cliffords import (
     enumerate_cliffords,
     recovery_gate,
 )
-from .qcore import bloch_rotation
+from .qcore import bloch_rotation, ptm_from_unitary, ptm_product, relaxation_ptm
 
 _GATES = enumerate_cliffords()
 _X90_INDEX = 12   # R_x(pi/2): measuring z afterwards yields <sigma_y>
@@ -84,6 +91,9 @@ class GateNoiseModel:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("overrotation", "axis_error"):  # NaN would defeat the PTM cache
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def is_depolarizing_only(self) -> bool:
@@ -113,14 +123,42 @@ class PBResult:
     survival: DecayRecord
 
 
-class ChannelBackend:
-    """Exact rotations followed by a per-pulse noise channel, on Bloch vectors."""
+@functools.lru_cache(maxsize=1024)  # RB/PB strings use 12 distinct pulses per model
+def _pulse_ptm(angle, axis_angle, depolarizing, gamma, decay) -> np.ndarray:
+    """Read-only PTM of a rotation by `angle` about the in-plane axis at
+    `axis_angle`, then depolarizing, then relaxation_ptm(gamma, decay)."""
+    axis = (math.cos(axis_angle), math.sin(axis_angle), 0.0)
+    rotation = ptm_from_unitary(bloch_rotation(axis, angle))
+    ptm = relaxation_ptm(gamma, decay) @ np.diag([1.0] + 3 * [1.0 - depolarizing]) @ rotation
+    ptm.setflags(write=False)
+    return ptm
 
-    def __init__(self, noise: GateNoiseModel = GateNoiseModel(), visibility: float = 1.0):
+
+class _PTMBackend:
+    """Composes one cached PTM per pulse (subclasses supply `pulse_ptm`)."""
+
+    supports_survival_shortcut = False
+
+    def __init__(self, visibility: float):
         if not (0.0 < visibility <= 1.0):
             raise ValueError("visibility must be in (0, 1]")
-        self.noise = noise
         self.visibility = visibility
+
+    def run(self, pulses, shots: Optional[int], rng: np.random.Generator) -> float:
+        """P_g estimate after `pulses` (amount, axis angle), starting in |g>."""
+        distinct = {}  # pulse -> row of `table`; a compiled string has at most 12
+        rows = [distinct.setdefault(pulse, len(distinct)) for pulse in pulses]
+        table = np.array([self.pulse_ptm(*pulse) for pulse in distinct]).reshape(-1, 4, 4)
+        r = ptm_product(table[rows]) @ (1.0, 0.0, 0.0, 1.0)  # Pauli vector of |g>
+        return _read_out(0.5 + self.visibility * (0.5 * (r[0] + r[3]) - 0.5), shots, rng)
+
+
+class ChannelBackend(_PTMBackend):
+    """Over-rotated, axis-shifted rotations, then depolarizing, then damping."""
+
+    def __init__(self, noise: GateNoiseModel = GateNoiseModel(), visibility: float = 1.0):
+        super().__init__(visibility)
+        self.noise = noise
 
     @property
     def supports_survival_shortcut(self) -> bool:
@@ -136,82 +174,32 @@ class ChannelBackend:
         polarization = (1.0 - self.noise.depolarizing_prob) ** pulse_count
         return 0.5 + self.visibility * 0.5 * polarization
 
-    def run(self, pulses, shots: Optional[int], rng: np.random.Generator) -> float:
-        v = np.array([0.0, 0.0, 1.0])
-        for amount, axis_angle in pulses:
-            v = self._apply_pulse(v, amount, axis_angle)
-        p_g = 0.5 * (1.0 + v[2])
-        return self._read_out(p_g, shots, rng)
-
-    def _apply_pulse(self, v, amount, axis_angle):
+    def pulse_ptm(self, amount: float, axis_angle: float) -> np.ndarray:
         noise = self.noise
-        angle = amount + math.copysign(noise.overrotation, amount) if noise.overrotation else amount
-        axis = axis_angle + noise.axis_error
-        v = _bloch_rotate(v, axis, angle)
-        if noise.depolarizing_prob:
-            v = (1.0 - noise.depolarizing_prob) * v
-        if noise.amplitude_damping_prob:
-            gamma = noise.amplitude_damping_prob
-            v = np.array(
-                [math.sqrt(1 - gamma) * v[0], math.sqrt(1 - gamma) * v[1],
-                 gamma + (1 - gamma) * v[2]]
-            )
-        return v
-
-    def _read_out(self, p_g, shots, rng):
-        p_obs = 0.5 + self.visibility * (p_g - 0.5)
-        if shots is None:
-            return p_obs
-        return rng.binomial(int(shots), min(max(p_obs, 0.0), 1.0)) / int(shots)
+        return _pulse_ptm(amount + math.copysign(noise.overrotation, amount),
+                          axis_angle + noise.axis_error, noise.depolarizing_prob,
+                          noise.amplitude_damping_prob, 1.0)
 
 
-class PulseBackend:
-    """Ideal rotations with fixed-duration T1/T2 decay after every pulse."""
+class PulseBackend(_PTMBackend):
+    """Ideal rotations, then fixed-duration T1 damping and dephasing."""
 
     def __init__(self, t1_us: float = math.inf, t2_us: float = math.inf,
                  gate_time_ns: float = 20.0, visibility: float = 1.0):
+        super().__init__(visibility)
+        if not (t1_us > 0.0 and t2_us > 0.0):
+            raise ValueError("t1 and t2 must be positive (inf allowed)")
+        if not (0.0 < gate_time_ns < math.inf):
+            raise ValueError("gate_time_ns must be positive and finite")
         if t2_us > 2 * t1_us + 1e-9:
             raise ValueError("t2 cannot exceed 2 * t1")
-        self.t1_ns = t1_us * 1e3
-        self.t2_ns = t2_us * 1e3
-        self.gate_time_ns = gate_time_ns
-        self.visibility = visibility
-        self.supports_survival_shortcut = False
+        self.t1_ns, self.t2_ns, self.gate_time_ns = t1_us * 1e3, t2_us * 1e3, gate_time_ns
+        self._gamma = 1.0 - math.exp(-gate_time_ns / self.t1_ns)
+        rate = 1.0 / self.t2_ns - 0.5 / self.t1_ns  # pure dephasing, 1/ns
+        self._dephasing = math.exp(-gate_time_ns * max(rate, 0.0))
 
-    def run(self, pulses, shots: Optional[int], rng: np.random.Generator) -> float:
-        rho = np.array([[1, 0], [0, 0]], dtype=complex)
-        for amount, axis_angle in pulses:
-            u = bloch_rotation((math.cos(axis_angle), math.sin(axis_angle), 0.0), amount)
-            rho = u @ rho @ u.conj().T
-            rho = self._decay(rho)
-        p_g = rho[0, 0].real
-        p_obs = 0.5 + self.visibility * (p_g - 0.5)
-        if shots is None:
-            return p_obs
-        return rng.binomial(int(shots), min(max(p_obs, 0.0), 1.0)) / int(shots)
-
-    def _decay(self, rho):
-        tau = self.gate_time_ns
-        if not math.isinf(self.t1_ns):
-            gamma = 1.0 - math.exp(-tau / self.t1_ns)
-            rho = np.array(
-                [[rho[0, 0] + gamma * rho[1, 1], math.sqrt(1 - gamma) * rho[0, 1]],
-                 [math.sqrt(1 - gamma) * rho[1, 0], (1 - gamma) * rho[1, 1]]]
-            )
-        rate = 0.0
-        if not math.isinf(self.t2_ns):
-            rate = 1.0 / self.t2_ns - (0.0 if math.isinf(self.t1_ns) else 0.5 / self.t1_ns)
-        if rate > 0.0:
-            decay = math.exp(-tau * rate)
-            rho = np.array([[rho[0, 0], decay * rho[0, 1]], [decay * rho[1, 0], rho[1, 1]]])
-        return rho
-
-
-def _bloch_rotate(v, axis_angle, amount):
-    """Rotate a Bloch vector about the in-plane axis at `axis_angle`."""
-    n = np.array([math.cos(axis_angle), math.sin(axis_angle), 0.0])
-    cos_a, sin_a = math.cos(amount), math.sin(amount)
-    return cos_a * v + sin_a * np.cross(n, v) + (1 - cos_a) * (n @ v) * n
+    def pulse_ptm(self, amount: float, axis_angle: float) -> np.ndarray:
+        return _pulse_ptm(amount, axis_angle, 0.0, self._gamma, self._dephasing)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +232,24 @@ def _sequence_rng(seed: int, kind: str, length_index: int, sequence_index: int):
     )
 
 
+def _read_out(p_obs: float, shots: Optional[int], rng) -> float:
+    """p_obs itself (shots=None) or its binomial estimate from `shots` shots."""
+    if shots is None:
+        return p_obs
+    return rng.binomial(int(shots), min(max(p_obs, 0.0), 1.0)) / int(shots)
+
+
+def _measure(backend, pulses, shots, rng, where: str, shortcut: bool = True) -> float:
+    """P_g of one compiled string: the survival shortcut when allowed and the
+    backend offers it, else backend.run; failures name `where`."""
+    try:
+        if shortcut and backend.supports_survival_shortcut:
+            return _read_out(backend.survival_probability(len(pulses)), shots, rng)
+        return backend.run(pulses, shots, rng)
+    except Exception as exc:
+        raise wrap_error(exc, f"backend failed at {where}: {exc}") from exc
+
+
 def run_rb(backend, config: RBConfig, *, keep_sequences: bool = False,
            seconds_per_sequence: float = 0.0):
     """Standard RB: returns a DecayRecord of P_g (and sequences if asked)."""
@@ -256,18 +262,8 @@ def run_rb(backend, config: RBConfig, *, keep_sequences: bool = False,
             rng = _sequence_rng(config.seed, "rb", i_m, j)
             gates, recovery = draw_sequence(m, rng)
             compiled = compile_sequence(gates, recovery, rng)
-            try:
-                if backend.supports_survival_shortcut:
-                    p_g = backend.survival_probability(len(compiled.pulses))
-                    if config.shots is not None:
-                        p_g = rng.binomial(config.shots, p_g) / config.shots
-                else:
-                    p_g = backend.run(compiled.pulses, config.shots, rng)
-            except Exception as exc:
-                raise wrap_error(
-                    exc, f"backend failed at length {m}, sequence {j}: {exc}"
-                ) from exc
-            values[i_m].append(float(p_g))
+            values[i_m].append(float(_measure(backend, compiled.pulses, config.shots, rng,
+                                              f"length {m}, sequence {j}")))
             stamps[i_m].append(counter * seconds_per_sequence)
             counter += 1
             if keep_sequences:
@@ -291,9 +287,11 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
     R_x(pi/2)) to estimate <sx>, <sy>, <sz>; the purity is their sum of
     squares.  The plain readings double as an RB survival record, so the
     total error can be estimated from the same data set.  With
-    `bias_corrected` the binomial shot-noise variance is subtracted from
-    each squared expectation (relevant at low shot counts).
+    `bias_corrected` the unbiased shot-noise variance 4 p_hat (1 - p_hat) /
+    (n - 1) is subtracted from each squared expectation (needs n >= 2 shots).
     """
+    if bias_corrected and config.shots is not None and config.shots < 2:
+        raise ValueError("bias_corrected needs at least 2 shots")
     purity_values = [[] for _ in config.lengths]
     survival_values = [[] for _ in config.lengths]
     stamps = [[] for _ in config.lengths]
@@ -311,18 +309,14 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
                 if analysis_index is not None:
                     primitives.extend(decompose(_GATES[analysis_index], rng).gates)
                 compiled = compile_virtual_z(PrimitiveSequence(tuple(primitives), -1))
-                try:
-                    p_g = backend.run(compiled.pulses, config.shots, rng)
-                except Exception as exc:
-                    raise wrap_error(
-                        exc, f"backend failed at length {m}, sequence {j} ({label}): {exc}"
-                    ) from exc
+                p_g = _measure(backend, compiled.pulses, config.shots, rng,
+                               f"length {m}, sequence {j} ({label})", shortcut=False)
                 expectations[label] = 2.0 * p_g - 1.0
             purity = sum(value**2 for value in expectations.values())
             if bias_corrected and config.shots is not None:
                 for value in expectations.values():
                     p_hat = 0.5 * (1.0 + value)
-                    purity -= 4.0 * p_hat * (1.0 - p_hat) / config.shots
+                    purity -= 4.0 * p_hat * (1.0 - p_hat) / (config.shots - 1)
             purity_values[i_m].append(float(purity))
             survival_values[i_m].append(0.5 * (1.0 + expectations["z"]))
             stamps[i_m].append(counter * seconds_per_sequence)
@@ -444,13 +438,8 @@ def temporal_stability(backend, config: RBConfig, iterations: int, window: int,
             rng = _sequence_rng(config.seed, "stability", j, i_m)
             gates, recovery = draw_sequence(m, rng)
             compiled = compile_sequence(gates, recovery, rng)
-            if backend.supports_survival_shortcut:
-                p_g = backend.survival_probability(len(compiled.pulses))
-                if config.shots is not None:
-                    p_g = rng.binomial(config.shots, p_g) / config.shots
-            else:
-                p_g = backend.run(compiled.pulses, config.shots, rng)
-            survival[j, i_m] = p_g
+            survival[j, i_m] = _measure(backend, compiled.pulses, config.shots, rng,
+                                        f"iteration {j}, length {m}")
     m_arr = np.asarray(lengths, dtype=float)
     half = window // 2
     fidelities = np.empty(iterations)

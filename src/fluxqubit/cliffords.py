@@ -47,6 +47,9 @@ _PRIMITIVE_ANGLES = {
     "Z-90": (_Z_AXIS, -pi / 2),
 }
 
+_Z_QUARTERS = {"Z90": 1, "Z180": 2, "Z-90": -1}
+_QUARTER_TURNS = (0.0, pi / 2, pi, -pi / 2)  # k quarter turns, wrapped
+
 PRIMITIVE_UNITARIES = {
     kind: bloch_rotation(axis, angle) for kind, (axis, angle) in _PRIMITIVE_ANGLES.items()
 }
@@ -245,20 +248,19 @@ def decompose(c: CliffordGate, rng: np.random.Generator) -> PrimitiveSequence:
 def compile_virtual_z(seq: PrimitiveSequence) -> PhysicalPulseList:
     """Absorb Z primitives into pulse axis angles and a final frame phase.
 
+    The frame is an integer count of quarter turns, so every axis angle and
+    the frame phase is exactly 0, pi/2, pi or -pi/2, however long the string.
     The realized unitary is Z(frame_phase) times the product of the emitted
     pulses, equal to the sequence's unitary up to global phase.
     """
-    frame = 0.0
+    quarters = 0
     pulses = []
     for kind in seq.gates:
-        axis, angle = _PRIMITIVE_ANGLES[kind]
-        if kind == "I" or angle == 0.0:
-            continue
-        if kind.startswith("Z"):
-            frame += angle
-        else:
-            pulses.append((angle, _wrap_angle(-frame)))
-    return PhysicalPulseList(pulses=tuple(pulses), frame_phase=_wrap_angle(frame))
+        if kind in _Z_QUARTERS:
+            quarters += _Z_QUARTERS[kind]
+        elif kind != "I":
+            pulses.append((_PRIMITIVE_ANGLES[kind][1], _QUARTER_TURNS[-quarters % 4]))
+    return PhysicalPulseList(pulses=tuple(pulses), frame_phase=_QUARTER_TURNS[quarters % 4])
 
 
 def physical_unitary(ppl: PhysicalPulseList) -> np.ndarray:
@@ -268,12 +270,6 @@ def physical_unitary(ppl: PhysicalPulseList) -> np.ndarray:
         n = (np.cos(axis_angle), np.sin(axis_angle), 0.0)
         u = bloch_rotation(n, amount) @ u
     return bloch_rotation(_Z_AXIS, ppl.frame_phase) @ u
-
-
-def _wrap_angle(angle: float) -> float:
-    """Wrap to (-pi, pi]."""
-    wrapped = (angle + pi) % (2 * pi) - pi
-    return pi if wrapped == -pi else wrapped
 
 
 # ---------------------------------------------------------------------------

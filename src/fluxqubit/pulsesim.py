@@ -40,14 +40,13 @@ from .qcore import (
     density_from_pauli_vector,
     excited_population,
     pauli_vector,
-    ptm_from_kraus,
     ptm_from_unitary,
+    relaxation_ptm,
     validate_density_matrix,
 )
 
 GROUND_STATE = np.array([[1, 0], [0, 0]], dtype=complex)
 EXCITED_STATE = np.array([[0, 0], [0, 1]], dtype=complex)
-LOWERING = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
 
 DT_SAFETY_FACTOR = 0.05  # dt <= 0.05 / max(|detuning|, Omega_R)
 TRACE_TOL_PER_US = 1e-9
@@ -245,18 +244,9 @@ def _step_unitary(delta, omega, tau) -> np.ndarray:
 
 def _decoherence_ptm(p: DeviceParams, f_mid: np.ndarray, tau: float) -> np.ndarray:
     """Amplitude damping with T1(f) then pure dephasing over tau ns, per f_mid."""
-    gamma = (1.0 - np.exp(-tau / (t1_at_frequency(p, f_mid) * 1e3)))[..., None, None]
-    ptm = ptm_from_kraus(
-        [GROUND_STATE + np.sqrt(1.0 - gamma) * EXCITED_STATE, np.sqrt(gamma) * LOWERING]
-    )
-    dephasing_rate = 0.0  # 1/T_phi in 1/ns
-    if not math.isinf(p.t2):
-        dephasing_rate = 1.0 / (p.t2 * 1e3) - (0.0 if math.isinf(p.t1) else 0.5 / (p.t1 * 1e3))
-    if dephasing_rate > 0.0:
-        decay = math.exp(-tau * dephasing_rate)
-        ptm = ptm_from_kraus([math.sqrt(0.5 * (1.0 + decay)) * IDENTITY,
-                              math.sqrt(0.5 * (1.0 - decay)) * SIGMA_Z]) @ ptm
-    return ptm
+    gamma = 1.0 - np.exp(-tau / (t1_at_frequency(p, f_mid) * 1e3))
+    dephasing_rate = 1.0 / (p.t2 * 1e3) - 0.5 / (p.t1 * 1e3)  # 1/T_phi in 1/ns
+    return relaxation_ptm(gamma, math.exp(-tau * max(dephasing_rate, 0.0)))
 
 
 def _has_decoherence(p: DeviceParams) -> bool:

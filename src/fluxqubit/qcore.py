@@ -16,6 +16,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import InvalidChannelError
@@ -262,6 +264,28 @@ def ptm_from_kraus(kraus_ops) -> np.ndarray:
 def ptm_from_unitary(u: np.ndarray) -> np.ndarray:
     """PTM of rho -> u rho u^dag (u may be a stack of unitaries)."""
     return ptm_from_kraus([u])
+
+
+def relaxation_ptm(gamma, decay: float = 1.0) -> np.ndarray:
+    """PTM of amplitude damping to |g> with probability gamma (scalar or
+    array), then pure dephasing that scales the coherences by `decay`."""
+    gamma = np.asarray(gamma, dtype=float)[..., None, None]
+    ptm = ptm_from_kraus([np.diag([1.0, 0.0]) + np.sqrt(1.0 - gamma) * np.diag([0.0, 1.0]),
+                          np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])])
+    if decay < 1.0:
+        ptm = ptm_from_kraus([math.sqrt(0.5 * (1.0 + decay)) * IDENTITY,
+                              math.sqrt(0.5 * (1.0 - decay)) * SIGMA_Z]) @ ptm
+    return ptm
+
+
+def ptm_product(maps) -> np.ndarray:
+    """maps[-1] @ ... @ maps[0] (applied first to last) by a pairwise tree
+    reduce, log2(n) rounds of stacked matmul; the identity for no maps."""
+    out = np.asarray(maps, dtype=float).reshape(-1, 4, 4)
+    while len(out) > 1:
+        paired = out[1::2] @ out[:len(out) - 1:2]
+        out = np.concatenate((paired, out[-1:])) if len(out) % 2 else paired
+    return out[0] if len(out) else np.eye(4)
 
 
 # ---------------------------------------------------------------------------

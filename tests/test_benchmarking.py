@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxqubit import benchmarking as rb
 from fluxqubit import cliffords as cl
+from fluxqubit.qcore import bloch_rotation
 
 
 def analytic_depolarizing_p(lam: float) -> float:
@@ -220,3 +225,157 @@ def test_pulse_backend_decay_reduces_survival():
     fit = rb.fit_rb(rb.run_rb(backend, config))
     assert 0.9 < fit.p < 1.0
     assert fit.average_fidelity < 1.0
+
+
+def test_temporal_stability_and_pb_failures_name_where():
+    class FailingBackend:
+        supports_survival_shortcut = False
+
+        def run(self, pulses, shots, rng):
+            raise ValueError("broken")
+
+    config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=1, seed=1)
+    with pytest.raises(ValueError, match="iteration 0, length 1: broken") as info:
+        rb.temporal_stability(FailingBackend(), config, iterations=3, window=3)
+    assert isinstance(info.value.__cause__, ValueError)
+    with pytest.raises(ValueError, match=r"length 1, sequence 0 \(z\)"):
+        rb.run_pb(FailingBackend(), config)
+
+
+class ConstantBackend:
+    """Reads every string as the same fraction of ground-state outcomes."""
+
+    supports_survival_shortcut = False
+
+    def __init__(self, p_hat):
+        self.p_hat = p_hat
+
+    def run(self, pulses, shots, rng):
+        return self.p_hat
+
+
+def test_pb_bias_correction_is_unbiased_over_the_binomial_pmf():
+    # E over k ~ Binomial(n, p) of the corrected purity, summed exactly
+    n, p = 4, 0.8
+    config = rb.RBConfig(lengths=(1,), sequences_per_length=1, shots=n, seed=3)
+    expected = 0.0
+    for k in range(n + 1):
+        pmf = math.comb(n, k) * p**k * (1 - p) ** (n - k)
+        result = rb.run_pb(ConstantBackend(k / n), config, bias_corrected=True)
+        expected += pmf * result.purity.values[0][0] / 3  # three equal readouts
+    assert abs(expected - (2 * p - 1) ** 2) < 1e-12  # 0.36; dividing by n gave 0.40
+
+
+def test_pb_bias_correction_needs_two_shots():
+    config = rb.RBConfig(lengths=(1,), sequences_per_length=1, shots=1)
+    with pytest.raises(ValueError, match="2 shots"):
+        rb.run_pb(ConstantBackend(1.0), config, bias_corrected=True)
+    assert rb.run_pb(ConstantBackend(1.0), config).purity.values[0][0] == 3.0
+
+
+@pytest.mark.parametrize("visibility", [0.0, -0.1, 1.5, math.nan])
+def test_pulse_backend_rejects_visibility_outside_unit_interval(visibility):
+    with pytest.raises(ValueError, match="visibility"):
+        rb.PulseBackend(visibility=visibility)
+
+
+@pytest.mark.parametrize("t1, t2", [(0.0, 1.0), (-5.0, 1.0), (math.nan, 1.0),
+                                    (10.0, 0.0), (10.0, -2.0), (10.0, math.nan)])
+def test_pulse_backend_rejects_nonpositive_or_nan_coherence_times(t1, t2):
+    with pytest.raises(ValueError, match="t1 and t2"):
+        rb.PulseBackend(t1_us=t1, t2_us=t2)
+    rb.PulseBackend(t1_us=math.inf, t2_us=math.inf)  # no decay at all stays allowed
+
+
+@pytest.mark.parametrize("gate_time_ns", [0.0, -1.0, math.nan, math.inf])
+def test_pulse_backend_rejects_nonpositive_gate_time(gate_time_ns):
+    with pytest.raises(ValueError, match="gate_time_ns"):
+        rb.PulseBackend(t1_us=20.0, gate_time_ns=gate_time_ns)
+
+
+@pytest.mark.parametrize("field", ["overrotation", "axis_error"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_noise_model_rejects_non_finite_coherent_errors(field, value):
+    with pytest.raises(ValueError, match=field):
+        rb.GateNoiseModel(**{field: value})
+
+
+def test_pulse_ptms_are_cached_read_only_and_few():
+    backend = rb.ChannelBackend(rb.GateNoiseModel(1e-3, 1e-3, overrotation=0.02, axis_error=0.01))
+    rb._pulse_ptm.cache_clear()
+    rb.run_rb(backend, rb.RBConfig(lengths=(1, 20, 100), sequences_per_length=5, seed=41))
+    # 3 amounts x 4 exact quarter-turn axes
+    assert rb._pulse_ptm.cache_info().currsize == 12
+    ptm = backend.pulse_ptm(np.pi / 2, 0.0)
+    assert ptm is backend.pulse_ptm(np.pi / 2, 0.0)
+    assert not ptm.flags.writeable
+
+
+# -- the loops the PTM backends replaced, kept here as the reference ---------
+
+def bloch_loop_channel_run(noise, visibility, pulses):
+    v = np.array([0.0, 0.0, 1.0])
+    for amount, axis_angle in pulses:
+        angle = amount
+        if noise.overrotation:
+            angle += math.copysign(noise.overrotation, amount)
+        axis = axis_angle + noise.axis_error
+        n = np.array([math.cos(axis), math.sin(axis), 0.0])
+        cos_a, sin_a = math.cos(angle), math.sin(angle)
+        v = cos_a * v + sin_a * np.cross(n, v) + (1 - cos_a) * (n @ v) * n
+        if noise.depolarizing_prob:
+            v = (1.0 - noise.depolarizing_prob) * v
+        if noise.amplitude_damping_prob:
+            gamma = noise.amplitude_damping_prob
+            v = np.array([math.sqrt(1 - gamma) * v[0], math.sqrt(1 - gamma) * v[1],
+                          gamma + (1 - gamma) * v[2]])
+    return 0.5 + visibility * (0.5 * (1.0 + v[2]) - 0.5)
+
+
+def density_loop_pulse_run(t1_us, t2_us, tau, visibility, pulses):
+    t1, t2 = t1_us * 1e3, t2_us * 1e3
+    rho = np.array([[1, 0], [0, 0]], dtype=complex)
+    for amount, axis_angle in pulses:
+        u = bloch_rotation((math.cos(axis_angle), math.sin(axis_angle), 0.0), amount)
+        rho = u @ rho @ u.conj().T
+        if not math.isinf(t1):
+            gamma = 1.0 - math.exp(-tau / t1)
+            rho = np.array([[rho[0, 0] + gamma * rho[1, 1], math.sqrt(1 - gamma) * rho[0, 1]],
+                            [math.sqrt(1 - gamma) * rho[1, 0], (1 - gamma) * rho[1, 1]]])
+        rate = 0.0
+        if not math.isinf(t2):
+            rate = 1.0 / t2 - (0.0 if math.isinf(t1) else 0.5 / t1)
+        if rate > 0.0:
+            decay = math.exp(-tau * rate)
+            rho = np.array([[rho[0, 0], decay * rho[0, 1]], [decay * rho[1, 0], rho[1, 1]]])
+    return 0.5 + visibility * (rho[0, 0].real - 0.5)
+
+
+angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+pulse_lists = st.lists(
+    st.one_of(st.tuples(angles, angles),
+              st.sampled_from([(a, x) for a in (np.pi, np.pi / 2, -np.pi / 2)
+                               for x in (0.0, np.pi / 2, np.pi, -np.pi / 2)])),
+    max_size=80,
+)
+probabilities = st.one_of(st.just(0.0), st.floats(0.0, 0.2))
+coherent = st.one_of(st.just(0.0), st.floats(-0.3, 0.3))
+visibilities = st.floats(0.5, 1.0)
+times_us = st.one_of(st.just(math.inf), st.floats(0.2, 100.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(pulses=pulse_lists, depolarizing=probabilities, damping=probabilities,
+       overrotation=coherent, axis_error=coherent, visibility=visibilities,
+       t1=times_us, t2_ratio=st.floats(0.05, 2.0),
+       tau=st.floats(1.0, 200.0))
+def test_ptm_backends_match_the_step_loops(pulses, depolarizing, damping, overrotation,
+                                           axis_error, visibility, t1, t2_ratio, tau):
+    noise = rb.GateNoiseModel(depolarizing, damping, overrotation, axis_error)
+    channel = rb.ChannelBackend(noise, visibility)
+    assert abs(channel.run(pulses, None, None)
+               - bloch_loop_channel_run(noise, visibility, pulses)) <= 1e-12
+    t2 = t1 * t2_ratio
+    pulse = rb.PulseBackend(t1, t2, tau, visibility)
+    assert abs(pulse.run(pulses, None, None)
+               - density_loop_pulse_run(t1, t2, tau, visibility, pulses)) <= 1e-12

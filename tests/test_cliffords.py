@@ -199,3 +199,14 @@ def test_sequence_file_round_trip(tmp_path):
 def test_parse_sequence_line_requires_separator():
     with pytest.raises(ValueError):
         cl.parse_sequence_line("1 2 3")
+
+
+def test_compile_frames_are_exact():
+    # the frame is counted in quarter turns, so no float drift builds up
+    rng = np.random.default_rng(2000)
+    kinds = tuple(str(k) for k in rng.choice(cl.PRIMITIVE_KINDS, size=2000))
+    compiled = cl.compile_virtual_z(cl.PrimitiveSequence(kinds, -1))
+    exact = {0.0, np.pi / 2, np.pi, -np.pi / 2}
+    assert len(compiled.pulses) == cl.microwave_pulse_count(kinds)
+    assert {axis for _, axis in compiled.pulses} <= exact
+    assert compiled.frame_phase in exact

@@ -181,3 +181,25 @@ def test_parse_matrix_rejects_garbage():
         qc.parse_matrix("# only comments\n")
     with pytest.raises(ValueError):
         qc.parse_matrix("1+0j 2+0j\n")
+
+
+def test_ptm_product_matches_a_left_fold():
+    rng = np.random.default_rng(8)
+    for n in range(10):
+        maps = rng.normal(size=(n, 4, 4))
+        expected = np.eye(4)
+        for m in maps:  # applied first to last
+            expected = m @ expected
+        assert np.allclose(qc.ptm_product(maps), expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(qc.ptm_product(list(maps)), expected, rtol=1e-12, atol=1e-12)
+
+
+def test_relaxation_ptm_acts_on_the_bloch_vector():
+    gamma, decay = 0.3, 0.6
+    r = qc.relaxation_ptm(gamma, decay) @ np.array([1.0, 0.2, -0.4, -0.5])
+    damped = np.sqrt(1 - gamma) * decay
+    assert np.allclose(r, [1.0, 0.2 * damped, -0.4 * damped, gamma + (1 - gamma) * -0.5],
+                       atol=1e-15)
+    stack = qc.relaxation_ptm(np.array([0.0, 1.0]))
+    assert np.allclose(stack[0], np.eye(4), atol=1e-15)
+    assert np.allclose(stack[1] @ [1.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 1.0], atol=1e-15)
