@@ -5,9 +5,11 @@ compute the recovery element, decompose everything into primitives, compile
 the virtual Z content away, execute the physical pulses on a backend, and
 estimate the ground-state return probability P_g.  Averaged over N random
 sequences, P_g(m) decays as A p^m + B and the average gate fidelity follows
-from p.  PB runs each sequence three times with an extra final analysis
-rotation to estimate <sx>, <sy>, <sz> and tracks the purity decay
-A' u^(m-1) + B' instead; the incoherent error is (1 - sqrt(u)) / 2.
+from p (decompose and compile are one `cliffords.compile_cliffords` walk).
+PB runs each sequence three times with an extra final analysis rotation to
+estimate <sx>, <sy>, <sz> and tracks the purity decay A' u^(m-1) + B'
+instead; the incoherent error is (1 - sqrt(u)) / 2.  It compiles the base
+string once and each analysis rotation from the base's outgoing frame.
 
 Backends implement `run(pulses, shots, rng) -> P_g estimate` where pulses
 are (rotation amount, axis angle) pairs.  Both bundled backends turn each
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -34,19 +37,17 @@ import numpy as np
 from . import ConsistencyError, wrap_error
 from .analysis import FitResult, fit_nlls
 from .cliffords import (
-    CliffordGate,
+    QUARTER_TURNS,
     PhysicalPulseList,
-    PrimitiveSequence,
-    compile_virtual_z,
-    decompose,
+    compile_cliffords,
+    compile_virtual_z,  # unused here; perfbench's tracer wraps benchmarking.compile_virtual_z
+    decompose,          # and benchmarking.decompose, so both names stay
     enumerate_cliffords,
     recovery_gate,
 )
 from .qcore import bloch_rotation, ptm_from_unitary, ptm_product, relaxation_ptm
 
 _GATES = enumerate_cliffords()
-_X90_INDEX = 12   # R_x(pi/2): measuring z afterwards yields <sigma_y>
-_Y_M90_INDEX = 15  # R_y(-pi/2): measuring z afterwards yields <sigma_x>
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,14 @@ class RBConfig:
             raise ValueError("lengths must be positive integers")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("lengths must be strictly increasing")
-        if self.sequences_per_length < 1:
-            raise ValueError("sequences_per_length must be at least 1")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be at least 1 or None")
+        if not (_is_count(self.sequences_per_length) and self.sequences_per_length >= 1):
+            raise ValueError("sequences_per_length must be an integer of at least 1")
+        if self.shots is not None and not (_is_count(self.shots) and self.shots >= 1):
+            raise ValueError("shots must be an integer of at least 1, or None")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def log_spaced_lengths(start: int, stop: int, count: int) -> tuple:
@@ -208,7 +213,7 @@ class PulseBackend(_PTMBackend):
 
 def draw_sequence(m: int, rng: np.random.Generator):
     """m random group elements plus their recovery, identity-checked."""
-    gates = tuple(_GATES[i] for i in rng.integers(24, size=m))
+    gates = tuple(map(_GATES.__getitem__, rng.integers(24, size=m).tolist()))
     recovery = recovery_gate(gates)
     if recovery_gate(list(gates) + [recovery]).index != 0:
         raise ConsistencyError("sequence plus recovery is not the identity")
@@ -217,10 +222,8 @@ def draw_sequence(m: int, rng: np.random.Generator):
 
 def compile_sequence(gates, recovery, rng: np.random.Generator) -> PhysicalPulseList:
     """Decompose every element (random choices) and compile the whole string."""
-    primitives = []
-    for gate in list(gates) + [recovery]:
-        primitives.extend(decompose(gate, rng).gates)
-    return compile_virtual_z(PrimitiveSequence(tuple(primitives), -1))
+    pulses, quarters = compile_cliffords([g.index for g in gates] + [recovery.index], rng)
+    return PhysicalPulseList(pulses, QUARTER_TURNS[quarters])
 
 
 _RNG_STREAMS = {"rb": 0, "pb": 1, "stability": 2}
@@ -256,7 +259,6 @@ def run_rb(backend, config: RBConfig, *, keep_sequences: bool = False,
     values = [[] for _ in config.lengths]
     stamps = [[] for _ in config.lengths]
     sequences = []
-    counter = 0
     for i_m, m in enumerate(config.lengths):
         for j in range(config.sequences_per_length):
             rng = _sequence_rng(config.seed, "rb", i_m, j)
@@ -264,18 +266,17 @@ def run_rb(backend, config: RBConfig, *, keep_sequences: bool = False,
             compiled = compile_sequence(gates, recovery, rng)
             values[i_m].append(float(_measure(backend, compiled.pulses, config.shots, rng,
                                               f"length {m}, sequence {j}")))
-            stamps[i_m].append(counter * seconds_per_sequence)
-            counter += 1
+            stamps[i_m].append((i_m * config.sequences_per_length + j) * seconds_per_sequence)
             if keep_sequences:
                 sequences.append((gates, recovery))
     record = DecayRecord(config.lengths, values, stamps, kind="rb")
     return (record, sequences) if keep_sequences else record
 
 
-_ANALYSIS_STEPS = (
-    ("z", None),
-    ("x", _Y_M90_INDEX),
-    ("y", _X90_INDEX),
+_ANALYSIS_STEPS = (  # readout label, analysis rotation appended before measuring z
+    ("z", ()),
+    ("x", (15,)),  # R_y(-pi/2) turns <sigma_x> into <sigma_z>
+    ("y", (12,)),  # R_x(pi/2) turns <sigma_y> into <sigma_z>
 )
 
 
@@ -295,21 +296,15 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
     purity_values = [[] for _ in config.lengths]
     survival_values = [[] for _ in config.lengths]
     stamps = [[] for _ in config.lengths]
-    counter = 0
     for i_m, m in enumerate(config.lengths):
         for j in range(config.sequences_per_length):
             rng = _sequence_rng(config.seed, "pb", i_m, j)
-            gates, recovery = draw_sequence(m, rng)
-            base = []
-            for gate in list(gates) + [recovery]:
-                base.extend(decompose(gate, rng).gates)
+            base = compile_sequence(*draw_sequence(m, rng), rng)
+            quarters = QUARTER_TURNS.index(base.frame_phase)
             expectations = {}
-            for label, analysis_index in _ANALYSIS_STEPS:
-                primitives = list(base)
-                if analysis_index is not None:
-                    primitives.extend(decompose(_GATES[analysis_index], rng).gates)
-                compiled = compile_virtual_z(PrimitiveSequence(tuple(primitives), -1))
-                p_g = _measure(backend, compiled.pulses, config.shots, rng,
+            for label, analysis in _ANALYSIS_STEPS:
+                pulses = base.pulses + compile_cliffords(analysis, rng, quarters)[0]
+                p_g = _measure(backend, pulses, config.shots, rng,
                                f"length {m}, sequence {j} ({label})", shortcut=False)
                 expectations[label] = 2.0 * p_g - 1.0
             purity = sum(value**2 for value in expectations.values())
@@ -319,8 +314,7 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
                     purity -= 4.0 * p_hat * (1.0 - p_hat) / (config.shots - 1)
             purity_values[i_m].append(float(purity))
             survival_values[i_m].append(0.5 * (1.0 + expectations["z"]))
-            stamps[i_m].append(counter * seconds_per_sequence)
-            counter += 1
+            stamps[i_m].append((i_m * config.sequences_per_length + j) * seconds_per_sequence)
     return PBResult(
         purity=DecayRecord(config.lengths, purity_values, stamps, kind="pb"),
         survival=DecayRecord(config.lengths, survival_values, stamps, kind="rb"),
@@ -436,8 +430,7 @@ def temporal_stability(backend, config: RBConfig, iterations: int, window: int,
     for j in range(iterations):
         for i_m, m in enumerate(lengths):
             rng = _sequence_rng(config.seed, "stability", j, i_m)
-            gates, recovery = draw_sequence(m, rng)
-            compiled = compile_sequence(gates, recovery, rng)
+            compiled = compile_sequence(*draw_sequence(m, rng), rng)
             survival[j, i_m] = _measure(backend, compiled.pulses, config.shots, rng,
                                         f"iteration {j}, length {m}")
     m_arr = np.asarray(lengths, dtype=float)

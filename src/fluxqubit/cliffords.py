@@ -11,6 +11,12 @@ string of length <= 3 is multiplied out and matched against the group, and
 the shortest strings per element are stored.  Elements may have several
 minimal decompositions; `decompose` picks uniformly among the stored ones.
 
+Virtual-Z frames are integer quarter turns, so `_STEPS`, built at import by
+the one compile rule `_compile_kinds`, holds the pulses and outgoing frame of
+every (element, decomposition, incoming frame).  `compile_cliffords` walks a
+string through it and draws all its choices in one `rng.integers(highs)`
+call, which leaves the generator as one `decompose` per element does.
+
 Convention: the two pi rotations about axes tilted halfway between the
 equator and the poles, R_(1,0,+/-1)(pi), are pinned to their two-pulse
 decompositions and their equivalent one-pulse forms are dropped.  With this
@@ -48,7 +54,7 @@ _PRIMITIVE_ANGLES = {
 }
 
 _Z_QUARTERS = {"Z90": 1, "Z180": 2, "Z-90": -1}
-_QUARTER_TURNS = (0.0, pi / 2, pi, -pi / 2)  # k quarter turns, wrapped
+QUARTER_TURNS = (0.0, pi / 2, pi, -pi / 2)  # frame phase of k quarter turns, wrapped
 
 PRIMITIVE_UNITARIES = {
     kind: bloch_rotation(axis, angle) for kind, (axis, angle) in _PRIMITIVE_ANGLES.items()
@@ -131,10 +137,6 @@ class PhysicalPulseList:
     frame_phase: float
 
 
-def primitive_unitary(kind: str) -> np.ndarray:
-    return PRIMITIVE_UNITARIES[kind]
-
-
 def sequence_product(kinds) -> np.ndarray:
     """Unitary of a primitive string applied left to right."""
     u = np.eye(2, dtype=complex)
@@ -175,7 +177,7 @@ def _build_tables(unitaries):
         if matches.size != 1:
             raise ConsistencyError(f"element {i} has {matches.size} inverses")
         inv[i] = matches[0]
-    return mul, inv
+    return mul.tolist(), inv.tolist()
 
 
 def _build_decompositions(unitaries):
@@ -227,14 +229,14 @@ def clifford(index: int) -> CliffordGate:
 
 def compose(a: CliffordGate, b: CliffordGate) -> CliffordGate:
     """Group element equal to applying a first, then b (exact table lookup)."""
-    return _GATES[_MUL[a.index, b.index]]
+    return _GATES[_MUL[a.index][b.index]]
 
 
 def recovery_gate(sequence) -> CliffordGate:
     """Element that returns the product of `sequence` to the identity."""
     total = 0
     for gate in sequence:
-        total = _MUL[total, gate.index]
+        total = _MUL[total][gate.index]
     return _GATES[_INV[total]]
 
 
@@ -245,6 +247,18 @@ def decompose(c: CliffordGate, rng: np.random.Generator) -> PrimitiveSequence:
     return PrimitiveSequence(gates=choice, clifford_index=c.index)
 
 
+def _compile_kinds(kinds, quarters: int = 0):
+    """Pulses of a primitive string entered at a frame of `quarters` quarter
+    turns, and the frame it leaves (mod 4)."""
+    pulses = []
+    for kind in kinds:
+        if kind in _Z_QUARTERS:
+            quarters += _Z_QUARTERS[kind]
+        elif kind != "I":
+            pulses.append((_PRIMITIVE_ANGLES[kind][1], QUARTER_TURNS[-quarters % 4]))
+    return tuple(pulses), quarters % 4
+
+
 def compile_virtual_z(seq: PrimitiveSequence) -> PhysicalPulseList:
     """Absorb Z primitives into pulse axis angles and a final frame phase.
 
@@ -253,14 +267,29 @@ def compile_virtual_z(seq: PrimitiveSequence) -> PhysicalPulseList:
     The realized unitary is Z(frame_phase) times the product of the emitted
     pulses, equal to the sequence's unitary up to global phase.
     """
-    quarters = 0
+    pulses, quarters = _compile_kinds(seq.gates)
+    return PhysicalPulseList(pulses=pulses, frame_phase=QUARTER_TURNS[quarters])
+
+
+# _STEPS[element][choice][incoming frame] = (pulses, outgoing frame)
+_STEPS = tuple(
+    tuple(tuple(_compile_kinds(kinds, q) for q in range(4)) for kinds in options)
+    for options in DECOMPOSITIONS
+)
+
+
+def compile_cliffords(indices, rng: np.random.Generator, quarters: int = 0):
+    """(pulses, outgoing frame) of a sequence of element indices entered at a
+    frame of `quarters` quarter turns: `decompose` per element, then
+    `compile_virtual_z`, with the same result and generator state."""
+    highs = [len(_STEPS[i]) for i in indices if len(_STEPS[i]) > 1]
+    choices = iter(rng.integers(highs).tolist() if highs else ())
     pulses = []
-    for kind in seq.gates:
-        if kind in _Z_QUARTERS:
-            quarters += _Z_QUARTERS[kind]
-        elif kind != "I":
-            pulses.append((_PRIMITIVE_ANGLES[kind][1], _QUARTER_TURNS[-quarters % 4]))
-    return PhysicalPulseList(pulses=tuple(pulses), frame_phase=_QUARTER_TURNS[quarters % 4])
+    for i in indices:
+        options = _STEPS[i]
+        step, quarters = options[next(choices) if len(options) > 1 else 0][quarters]
+        pulses.extend(step)
+    return tuple(pulses), quarters
 
 
 def physical_unitary(ppl: PhysicalPulseList) -> np.ndarray:
@@ -282,13 +311,21 @@ def format_sequence_line(sequence, recovery: CliffordGate) -> str:
     return f"{indices} | {recovery.index}" if indices else f"| {recovery.index}"
 
 
+def _parse_index(token: str) -> CliffordGate:
+    if not (token.isdigit() and int(token) < 24):
+        raise ValueError(f"sequence element {token!r} is not an index in 0-23")
+    return _GATES[int(token)]
+
+
 def parse_sequence_line(line: str):
     """Returns (sequence gates, recovery gate) for one file line."""
     if "|" not in line:
         raise ValueError("sequence line is missing the '|' recovery separator")
     left, right = line.split("|", 1)
-    gates = tuple(_GATES[int(tok)] for tok in left.split())
-    recovery = _GATES[int(right.strip())]
+    gates = tuple(_parse_index(tok) for tok in left.split())
+    recovery = _parse_index(right.strip())
+    if recovery_gate(gates) != recovery:
+        raise ValueError(f"recovery {recovery.index} does not invert the sequence")
     return gates, recovery
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fluxqubit import benchmarking as rb
 from fluxqubit import cliffords as cl
-from fluxqubit.qcore import bloch_rotation
+from fluxqubit.qcore import bloch_rotation, phase_aligned_distance
 
 
 def analytic_depolarizing_p(lam: float) -> float:
@@ -35,6 +35,21 @@ def test_config_validation():
         rb.RBConfig(lengths=(1, 2), shots=0)
     with pytest.raises(ValueError):
         rb.GateNoiseModel(depolarizing_prob=1.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shots", 2.5), ("shots", True), ("shots", "10"),
+    ("sequences_per_length", 2.5), ("sequences_per_length", True),
+    ("sequences_per_length", None),
+])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        rb.RBConfig(lengths=(1, 2), **{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    config = rb.RBConfig(lengths=(1, 2), sequences_per_length=np.int64(3), shots=np.int32(5))
+    assert config.sequences_per_length == 3 and config.shots == 5
 
 
 def test_log_spaced_lengths():
@@ -379,3 +394,47 @@ def test_ptm_backends_match_the_step_loops(pulses, depolarizing, damping, overro
     pulse = rb.PulseBackend(t1, t2, tau, visibility)
     assert abs(pulse.run(pulses, None, None)
                - density_loop_pulse_run(t1, t2, tau, visibility, pulses)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+def test_compiled_sequence_plus_recovery_is_the_identity(m, seed):
+    rng = np.random.default_rng(seed)
+    compiled = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)
+    assert phase_aligned_distance(cl.physical_unitary(compiled), np.eye(2)) < 1e-8
+
+
+class _RecordingBackend(rb.ChannelBackend):
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def run(self, pulses, shots, rng):
+        self.seen.append(tuple(pulses))
+        return super().run(pulses, shots, rng)
+
+
+def test_pb_readouts_are_the_base_string_then_each_analysis_rotation():
+    # reference: decompose every element and compile each readout's whole
+    # string, drawing from the sequence's generator in the same order
+    backend = _RecordingBackend()
+    config = rb.RBConfig(lengths=(1, 7, 30), sequences_per_length=3, seed=43)
+    rb.run_pb(backend, config)
+    expected = []
+    for i_m, m in enumerate(config.lengths):
+        for j in range(config.sequences_per_length):
+            rng = rb._sequence_rng(config.seed, "pb", i_m, j)
+            gates, recovery = rb.draw_sequence(m, rng)
+            base = sum((cl.decompose(g, rng).gates for g in gates + (recovery,)), ())
+            for tail in ((), cl.decompose(cl.clifford(15), rng).gates,
+                         cl.decompose(cl.clifford(12), rng).gates):
+                expected.append(cl.compile_virtual_z(cl.PrimitiveSequence(base + tail, -1)).pulses)
+    assert backend.seen == expected
+
+
+def test_timestamps_count_sequences_in_run_order():
+    config = rb.RBConfig(lengths=(1, 4), sequences_per_length=3, seed=47)
+    expected = [[0.0, 2.0, 4.0], [6.0, 8.0, 10.0]]
+    assert rb.run_rb(rb.ChannelBackend(), config, seconds_per_sequence=2.0).timestamps == expected
+    pb = rb.run_pb(rb.ChannelBackend(), config, seconds_per_sequence=2.0)
+    assert pb.purity.timestamps == pb.survival.timestamps == expected

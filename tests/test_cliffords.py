@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxqubit import cliffords as cl
 from fluxqubit import qcore as qc
@@ -210,3 +214,37 @@ def test_compile_frames_are_exact():
     assert len(compiled.pulses) == cl.microwave_pulse_count(kinds)
     assert {axis for _, axis in compiled.pulses} <= exact
     assert compiled.frame_phase in exact
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(indices=st.lists(st.integers(0, 23), max_size=60), quarters=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_compile_cliffords_matches_decompose_then_compile(indices, quarters, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pulses, outgoing = cl.compile_cliffords(indices, rng, quarters)
+    kinds = ("Z90",) * quarters  # enters the string at a frame of `quarters`
+    for i in indices:
+        kinds += cl.decompose(GATES[i], reference_rng).gates
+    expected = cl.compile_virtual_z(cl.PrimitiveSequence(kinds, -1))
+    assert pulses == expected.pulses
+    assert outgoing in range(4) and cl.QUARTER_TURNS[outgoing] == expected.frame_phase
+    # one array-`high` draw leaves the generator where per-element draws do
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("line, token", [
+    ("-1 2 | 21", "-1"),
+    ("24 | 0", "24"),
+    ("12 | -3", "-3"),
+    ("2 2.0 | 0", "2.0"),
+    ("12 | 13 0", "13 0"),
+])
+def test_parse_sequence_line_rejects_indices_outside_the_group(line, token):
+    with pytest.raises(ValueError, match=re.escape(repr(token))):
+        cl.parse_sequence_line(line)
+
+
+def test_parse_sequence_line_rejects_a_wrong_recovery():
+    assert cl.parse_sequence_line("12 | 13") == ((GATES[12],), GATES[13])
+    with pytest.raises(ValueError, match="does not invert"):
+        cl.parse_sequence_line("12 | 12")
