@@ -8,6 +8,8 @@ process tomography (tomography), and demultiplexed-gate calibration and
 compilation (demux).
 """
 
+import numbers
+
 __version__ = "0.1.0"
 
 
@@ -33,3 +35,8 @@ def wrap_error(exc: Exception, message: str) -> Exception:
         return type(exc)(message)
     except Exception:
         return RuntimeError(message)
+
+
+def is_count(value) -> bool:
+    """True for an integer (numpy integers included) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError, wrap_error
+from . import ConsistencyError, is_count, wrap_error
 from .analysis import FitResult, fit_nlls
 from .cliffords import (
     QUARTER_TURNS,
@@ -60,20 +59,17 @@ class RBConfig:
     seed: int = 0
 
     def __post_init__(self):
-        lengths = tuple(int(m) for m in self.lengths)
+        lengths = tuple(self.lengths)
+        if not lengths or not all(is_count(m) and m >= 1 for m in lengths):
+            raise ValueError(f"lengths must be positive integers, got {lengths!r}")
+        lengths = tuple(int(m) for m in lengths)
         object.__setattr__(self, "lengths", lengths)
-        if not lengths or any(m < 1 for m in lengths):
-            raise ValueError("lengths must be positive integers")
         if any(b <= a for a, b in zip(lengths, lengths[1:])):
             raise ValueError("lengths must be strictly increasing")
-        if not (_is_count(self.sequences_per_length) and self.sequences_per_length >= 1):
+        if not (is_count(self.sequences_per_length) and self.sequences_per_length >= 1):
             raise ValueError("sequences_per_length must be an integer of at least 1")
-        if self.shots is not None and not (_is_count(self.shots) and self.shots >= 1):
+        if self.shots is not None and not (is_count(self.shots) and self.shots >= 1):
             raise ValueError("shots must be an integer of at least 1, or None")
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def log_spaced_lengths(start: int, stop: int, count: int) -> tuple:

@@ -8,23 +8,26 @@ process acted on preparation s.
 
 Reconstruction minimizes the squared residual between the record and the
 Born probabilities predicted by a trace-2 Choi matrix, by projected
-gradient descent: each gradient step is followed by alternating projections
-onto the positive-semidefinite cone (eigenvalue clipping plus trace
-rescaling) and the trace-preserving affine subspace.  Steps that would
-increase the cost are halved, so the accepted cost sequence is monotone.
+gradient descent (Knee et al., PRA 98, 062336 (2018)): each gradient step
+is followed by the exact Frobenius projection onto the CPTP set, found by a
+semismooth Newton solve of its four-dimensional dual problem (Qi & Sun,
+SIAM J. Matrix Anal. Appl. 28, 360 (2006)); see `project_cptp`.  Steps that
+would increase the cost are halved, so the accepted cost sequence is
+monotone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError, wrap_error
+from . import ConsistencyError, is_count, wrap_error
 from .qcore import (
-    CHOI_TRACE,
     IDENTITY,
+    PAULI_BASIS,
     SIGMA_X,
     SIGMA_Z,
     average_gate_fidelity,
@@ -33,6 +36,7 @@ from .qcore import (
     dagger,
     density_from_bloch,
     partial_trace_output,
+    pauli_vector,
     validate_choi,
 )
 
@@ -104,12 +108,17 @@ class ReconstructionOptions:
     step_size: float = 0.2
     max_iterations: int = 5000
     tolerance: float = 1e-12
-    projection_rounds: int = 50
+    projection_rounds: int = 50   # eigendecompositions allowed per projection
 
     def __post_init__(self):
-        if min(self.step_size, self.max_iterations, self.tolerance,
-               self.projection_rounds) <= 0:
-            raise ValueError("all reconstruction options must be positive")
+        for name in ("step_size", "tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("max_iterations", "projection_rounds"):
+            value = getattr(self, name)
+            if not (is_count(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass
@@ -118,6 +127,8 @@ class ReconstructionDiagnostics:
     converged: bool
     final_cost: float
     cost_history: tuple
+    projections: int = 0        # project_cptp calls, one per line-search trial
+    projection_eighs: int = 0   # eigendecompositions those calls used in total
 
 
 def qpt_record(executor, shots: Optional[int], rng: Optional[np.random.Generator] = None,
@@ -171,26 +182,91 @@ def predict_all(choi: np.ndarray) -> np.ndarray:
     return np.einsum("kij,ji->k", _COEFFS, np.asarray(choi)).real
 
 
-def project_cptp(c: np.ndarray, rounds: int = 50) -> np.ndarray:
-    """Metric projection onto the CPTP set (Dykstra-corrected alternation).
+# sigma_k (x) I for sigma_k = I, X, Y, Z: the directions of the multiplier.
+_DIRECTIONS = np.stack([np.kron(sigma, IDENTITY) for sigma in PAULI_BASIS])
+_TP_TOLERANCE = 1e-13   # on ||Tr_out X - I||_F, scaled by max(1, ||C||_F)
 
-    Alternates the positive-semidefinite cone projection (eigenvalue
-    clipping, with Dykstra's correction term so the alternation converges
-    to the nearest CPTP point rather than an arbitrary feasible one) and
-    the trace-preservation affine projection, which also restores trace 2.
+
+def project_cptp(c: np.ndarray, rounds: int = 50, *,
+                 counts: Optional[list] = None) -> np.ndarray:
+    """Frobenius projection of the Hermitian part of c onto the CPTP set.
+
+    The nearest X >= 0 with Tr_out X = I is X = P+(C + L (x) I), where P+
+    clips eigenvalues at zero and the Hermitian 2x2 multiplier L solves the
+    four real equations Tr_out P+(C + L (x) I) = I.  They are solved by
+    semismooth Newton from L = (I - Tr_out C) / 2, the affine TP step, so a
+    point whose TP step is already PSD takes one eigendecomposition.  The
+    Jacobian comes from the same eigendecomposition, as the Loewner divided
+    differences of the clip applied to the directions sigma_k (x) I.  A
+    Newton step that does not reduce the TP residual is halved, down to a
+    sixteenth; when that fails too, or the Jacobian is singular, the
+    fixed-point step L <- L - (Tr_out X - I) / 2 is taken instead (a dual
+    gradient step of length 1/Lipschitz).  X is PSD by construction; the
+    loop stops once ||Tr_out X - I||_F < 1e-13 max(1, ||C||_F).
+
+    `rounds` caps the eigendecompositions; if the residual is still above
+    the tolerance after that many, ConsistencyError names it.  If `counts`
+    is a list, the number of eigendecompositions used is appended to it.
     """
-    x = 0.5 * (np.asarray(c, dtype=complex) + dagger(np.asarray(c, dtype=complex)))
-    correction = np.zeros_like(x)
-    for _ in range(rounds):
-        eigenvalues, vectors = np.linalg.eigh(x + correction)
-        clipped = np.clip(eigenvalues, 0.0, None)
-        y = (vectors * clipped) @ dagger(vectors)
-        correction = x + correction - y
-        tp_defect = IDENTITY - partial_trace_output(y)
-        x = y + np.kron(tp_defect, IDENTITY) / 2.0
-        if np.linalg.norm(tp_defect) < 1e-13 and eigenvalues.min() > -1e-13:
-            break
-    return x
+    c = np.asarray(c, dtype=complex)
+    c = 0.5 * (c + dagger(c))
+    tolerance = _TP_TOLERANCE * max(1.0, float(np.linalg.norm(c)))
+    multiplier = pauli_vector(IDENTITY - partial_trace_output(c)) / 4.0  # L in Pauli coordinates
+    start = None   # (multiplier, defect, residual) where the pending Newton `step` began
+    residual = math.inf
+    for count in range(1, rounds + 1):
+        lifted = (multiplier @ _DIRECTIONS.reshape(4, 16)).reshape(4, 4)   # L (x) I
+        eigenvalues, vectors = np.linalg.eigh(c + lifted)
+        positive = eigenvalues > 0.0
+        clipped = np.where(positive, eigenvalues, 0.0)
+        blocks = vectors.conj().T @ _DIRECTIONS @ vectors   # sigma_k (x) I in the eigenbasis
+        # Pauli coordinates tr(sigma_k (Tr_out X - I)) of the TP defect
+        defect = blocks.diagonal(axis1=1, axis2=2).real @ clipped - (2.0, 0.0, 0.0, 0.0)
+        residual = math.sqrt(0.5 * float(defect @ defect))
+        if residual < tolerance:
+            if counts is not None:
+                counts.append(count)
+            return (vectors * clipped) @ vectors.conj().T
+        if start is not None and residual >= start[2]:
+            if fraction > 1.0 / 16.0:
+                fraction /= 2.0
+                multiplier = start[0] - fraction * step
+            else:
+                multiplier = start[0] - start[1] / 4.0
+                start = None
+            continue
+        step = _newton_step(eigenvalues, positive, clipped, blocks, defect)
+        if step is None:
+            multiplier = multiplier - defect / 4.0
+            start = None
+        else:
+            start, fraction = (multiplier, defect, residual), 1.0
+            multiplier = multiplier - step
+    raise ConsistencyError(
+        f"CPTP projection did not converge in {rounds} eigendecompositions: "
+        f"trace-preservation residual {residual:.3e} (tolerance {tolerance:.1e})"
+    )
+
+
+def _newton_step(eigenvalues, positive, clipped, blocks, defect):
+    """Solve J s = defect for the Newton step s, or None if J is singular.
+
+    J_kl = sum_ij conj(B_k)_ij W_ij (B_l)_ij, with B_k = sigma_k (x) I in the
+    eigenbasis and W the divided differences of the clip: 1 between positive
+    eigenvalues, 0 between the others, l_i / (l_i - l_j) if only l_i > 0.
+    """
+    both = (positive[:, None] & positive[None, :]).astype(float)
+    across = positive[:, None] != positive[None, :]
+    weights = np.divide(clipped[:, None] - clipped[None, :],
+                        eigenvalues[:, None] - eigenvalues[None, :],
+                        out=both, where=across)
+    flat = blocks.reshape(4, 16)
+    jacobian = (flat.conj() @ (flat * weights.reshape(16)).T).real
+    try:
+        step = np.linalg.solve(jacobian, defect)
+    except np.linalg.LinAlgError:
+        return None
+    return step if np.all(np.isfinite(step)) else None
 
 
 def reconstruct(record: MeasurementRecord, opts: ReconstructionOptions = ReconstructionOptions()):
@@ -206,6 +282,7 @@ def reconstruct(record: MeasurementRecord, opts: ReconstructionOptions = Reconst
     history = [cost]
     converged = False
     iterations = 0
+    eighs = []   # one entry per project_cptp call
     for iterations in range(1, opts.max_iterations + 1):
         residual = predict_all(c) - targets
         gradient = np.einsum("k,kij->ij", 2.0 * residual, _COEFFS)
@@ -213,7 +290,7 @@ def reconstruct(record: MeasurementRecord, opts: ReconstructionOptions = Reconst
         step = opts.step_size
         improved = False
         for _ in range(60):
-            trial = project_cptp(c - step * gradient, opts.projection_rounds)
+            trial = project_cptp(c - step * gradient, opts.projection_rounds, counts=eighs)
             trial_cost = cost_of(trial)
             if trial_cost <= cost:
                 improved = True
@@ -232,6 +309,7 @@ def reconstruct(record: MeasurementRecord, opts: ReconstructionOptions = Reconst
     return c, ReconstructionDiagnostics(
         iterations=iterations, converged=converged,
         final_cost=cost, cost_history=tuple(history),
+        projections=len(eighs), projection_eighs=sum(eighs),
     )
 
 

@@ -52,6 +52,18 @@ def test_config_accepts_numpy_integer_counts():
     assert config.sequences_per_length == 3 and config.shots == 5
 
 
+@pytest.mark.parametrize("lengths", [(1.5, 2.7, 3.9), (True, 2), (1, 2.0), ("1", 2)])
+def test_config_rejects_non_integer_lengths(lengths):
+    with pytest.raises(ValueError, match="lengths"):
+        rb.RBConfig(lengths=lengths)
+
+
+def test_config_accepts_numpy_integer_lengths():
+    config = rb.RBConfig(lengths=np.array([1, 4, 16]))
+    assert config.lengths == (1, 4, 16)
+    assert all(type(m) is int for m in config.lengths)
+
+
 def test_log_spaced_lengths():
     lengths = rb.log_spaced_lengths(1, 5000, 28)
     assert lengths[0] == 1 and lengths[-1] == 5000

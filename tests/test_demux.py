@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fluxqubit import CalibrationError
+from fluxqubit import datafiles as df
 from fluxqubit import demux as dx
 from fluxqubit import pulsesim as ps
 from fluxqubit import qcore as qc
@@ -255,3 +258,26 @@ def test_calibrate_amplitude_propagates_other_fit_errors(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         dx.calibrate_amplitude(p, delta_i_grid=grid, t_grid=np.linspace(0.0, 160.0, 41),
                                drive_amplitude=DRIVE)
+
+
+def test_pipeline_projections_take_few_eigendecompositions(monkeypatch):
+    # the bundled device with T1/T2, 1 ns ramps and 2000 shots per entry
+    p = dataclasses.replace(df.load_bundled_device("device_demux.cfg"), t1=20.0, t2=10.0)
+    calls = []
+    project = tm.project_cptp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(tm, "project_cptp", counted)
+    results = dx.qpt_pipeline(
+        p, dx.nominal_calibration(p, DRIVE), gates=("X90", "H"), shots=2000,
+        drive_amplitude=DRIVE, rise_time=1.0, dt=0.05, seed=5,
+    )
+    assert sum(r.diagnostics.projections for r in results) == len(calls)
+    for result in results:
+        diagnostics = result.diagnostics
+        assert diagnostics.converged
+        assert diagnostics.iterations <= diagnostics.projections
+        assert diagnostics.projection_eighs <= 8 * diagnostics.projections

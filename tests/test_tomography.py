@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fluxqubit import InvalidChannelError
+from fluxqubit import ConsistencyError, InvalidChannelError
 from fluxqubit import datafiles as df
 from fluxqubit import qcore as qc
 from fluxqubit import tomography as tm
@@ -193,3 +197,144 @@ def test_qpt_record_wraps_exceptions_that_need_extra_arguments():
     with pytest.raises(KeyError) as info:
         tm.qpt_record(failing, shots=None)
     assert isinstance(info.value.__cause__, KeyError)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step_size", math.inf), ("step_size", math.nan), ("step_size", -0.1),
+    ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", 0.0),
+    ("max_iterations", 2.5), ("max_iterations", True), ("max_iterations", 0),
+    ("projection_rounds", 1.5), ("projection_rounds", False), ("projection_rounds", "50"),
+])
+def test_reconstruction_options_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        tm.ReconstructionOptions(**{field: value})
+
+
+def test_reconstruction_options_accept_numpy_integer_counts():
+    opts = tm.ReconstructionOptions(max_iterations=np.int64(10), projection_rounds=np.int32(8))
+    assert opts.max_iterations == 10 and opts.projection_rounds == 8
+
+
+def dykstra_projection(c, rounds):
+    """Reference for a stack of inputs: alternating PSD and TP projections
+    with Dykstra's correction."""
+    x = 0.5 * (c + np.swapaxes(c, -1, -2).conj())
+    correction = np.zeros_like(x)
+    for _ in range(rounds):
+        eigenvalues, vectors = np.linalg.eigh(x + correction)
+        clipped = np.clip(eigenvalues, 0.0, None)[..., None, :]
+        y = (vectors * clipped) @ np.swapaxes(vectors, -1, -2).conj()
+        correction = x + correction - y
+        defect = qc.IDENTITY - np.einsum("...iaja->...ij", y.reshape(-1, 2, 2, 2, 2))
+        x = y + np.einsum("...ij,ab->...iajb", defect, qc.IDENTITY).reshape(-1, 4, 4) / 2.0
+    return x
+
+
+def random_hermitian(rng, scale):
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return scale * (a + qc.dagger(a)) / 2.0
+
+
+def random_channel_choi(rng, rank):
+    """Choi matrix of `rank` random Kraus operators, normalised to be TP."""
+    kraus = rng.normal(size=(rank, 2, 2)) + 1j * rng.normal(size=(rank, 2, 2))
+    weights, vectors = np.linalg.eigh(np.einsum("kji,kjl->il", kraus.conj(), kraus))
+    kraus = kraus @ (vectors * weights ** -0.5) @ qc.dagger(vectors)
+    return qc.choi_from_kraus(list(kraus))
+
+
+def projection_input(seed, kind, log_scale):
+    rng = np.random.default_rng(seed)
+    if kind == "hermitian":
+        return random_hermitian(rng, 10.0 ** log_scale), rng
+    rank = 1 + seed % 3  # boundary: a channel of rank 1-3, slightly perturbed
+    return random_channel_choi(rng, rank) + random_hermitian(rng, 10.0 ** log_scale), rng
+
+
+projection_inputs = dict(seed=st.integers(0, 2**32 - 1),
+                         kind=st.sampled_from(("hermitian", "boundary")),
+                         log_scale=st.floats(-9.0, 0.7))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(**projection_inputs)
+def test_projection_is_cptp_and_satisfies_the_optimality_certificate(seed, kind, log_scale):
+    c, rng = projection_input(seed, kind, log_scale)
+    counts = []
+    x = tm.project_cptp(c, counts=counts)
+    qc.validate_choi(x)
+    assert 1 <= counts[0] <= 12
+    # X is the nearest CPTP point iff Re tr[(C - X)(Y - X)] <= 0 for all CPTP Y
+    for rank in (1, 2, 4):
+        y = random_channel_choi(rng, rank)
+        assert np.trace((c - x) @ (y - x)).real <= 1e-10
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(batch=st.lists(st.tuples(*projection_inputs.values()), min_size=8, max_size=25))
+def test_projection_agrees_with_dykstra_alternation(batch):
+    inputs = np.array([projection_input(*args)[0] for args in batch])
+    reference = dykstra_projection(inputs, 2000)
+    for c, expected in zip(inputs, reference):
+        assert np.linalg.norm(tm.project_cptp(c) - expected) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(("unitary", "damped", "depolarised")),
+       strength=st.floats(0.0, 1.0))
+def test_projection_is_idempotent_on_cptp_inputs(seed, kind, strength):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng)
+    if kind == "unitary":
+        choi = qc.choi_from_unitary(u)
+    elif kind == "damped":
+        damping = [np.diag([1.0, math.sqrt(1.0 - strength)]),
+                   math.sqrt(strength) * np.array([[0.0, 1.0], [0.0, 0.0]])]
+        choi = qc.choi_from_kraus([k @ u for k in damping])
+    else:
+        choi = (1.0 - strength) * qc.choi_from_unitary(u) + strength * np.eye(4) / 2.0
+    assert np.linalg.norm(tm.project_cptp(choi) - choi) <= 1e-12
+
+
+def test_newton_overshoot_is_halved_not_abandoned():
+    # full Newton steps overshoot on this input; halving them keeps the solve
+    # at 10 eigendecompositions, where falling back to fixed-point steps at
+    # once would take 58, past the default cap of 50
+    c, _ = projection_input(333, "hermitian", 0.7)
+    counts = []
+    x = tm.project_cptp(c, counts=counts)
+    assert counts[0] <= 12
+    assert np.linalg.norm(x - dykstra_projection(c[None], 2000)[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("fake_step", [
+    lambda *_: None,               # as if the Jacobian were singular
+    lambda *args: -args[-1],       # a step that never reduces the residual
+], ids=["singular", "no-descent"])
+@pytest.mark.parametrize("args", [(1, "hermitian", 0.7), (3, "boundary", -3.0),
+                                  (4, "hermitian", 0.0)])
+def test_fixed_point_steps_alone_reach_the_same_projection(monkeypatch, args, fake_step):
+    c, _ = projection_input(*args)
+    expected = tm.project_cptp(c)
+    monkeypatch.setattr(tm, "_newton_step", fake_step)
+    assert np.linalg.norm(tm.project_cptp(c, rounds=2000) - expected) <= 1e-10
+
+
+def test_projection_that_does_not_converge_raises():
+    c = random_hermitian(np.random.default_rng(48), 3.0)
+    with pytest.raises(ConsistencyError, match="trace-preservation residual"):
+        tm.project_cptp(c, rounds=1)
+    counts = []
+    tm.project_cptp(c, counts=counts)
+    assert counts[0] > 1
+
+
+@pytest.mark.parametrize("gate", df.REFERENCE_GATES)
+def test_reconstruct_round_trip_of_every_bundled_matrix(gate):
+    reference = df.load_reference_choi(gate)
+    assert np.linalg.norm(tm.project_cptp(reference) - reference) <= 1e-12
+    record = tm.MeasurementRecord(entries=tm.predict_all(reference), shots=None)
+    choi, diag = tm.reconstruct(record)
+    assert diag.converged
+    assert np.linalg.norm(choi - reference) < 1e-5
+    assert diag.iterations <= diag.projections <= diag.projection_eighs
