@@ -13,10 +13,18 @@ Initial guesses are automatic: frequencies come from a coarse discrete
 spectrum evaluated by direct summation (no uniform-grid requirement),
 amplitudes and phases from linear regression at the fixed frequency, and
 exponential-decay parameters from a log-linear regression.
+
+The spectrum's frequency grid and its exp(-2 pi i f x) kernel depend only
+on the sample grid x, so they are built once per grid and kept in a
+bounded cache (8 grids); each call is then one matrix-vector product and
+an argmax.  A cache entry holds 16 bytes * n_freq * len(x), where n_freq
+is about oversample / 2 * len(x), i.e. 4 * len(x) at the default
+oversample of 8 on a uniform grid: 0.4 MB for an 81-point scan.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,8 +112,15 @@ def _cosine_fringe_jac(x, p):
     )
 
 
-def coarse_spectrum_peak(x, y, oversample: int = 8) -> float:
-    """Frequency of the largest discrete-spectrum component, by direct sums."""
+@functools.lru_cache(maxsize=8)
+def _spectrum_kernel(x_bytes: bytes, oversample: int):
+    """(freqs, exp(-2 pi i f x)) for one float64 grid, both read-only.
+
+    Keyed on the grid's bytes, so a caller that later changes its array
+    cannot change a cached entry.  A zero-span grid raises every time:
+    lru_cache does not store exceptions.
+    """
+    x = np.frombuffer(x_bytes, dtype=float)
     span = np.max(x) - np.min(x)
     if span <= 0:
         raise FitError("cannot estimate a frequency from zero time span")
@@ -114,8 +129,18 @@ def coarse_spectrum_peak(x, y, oversample: int = 8) -> float:
     f_min = 0.25 / span
     n_freq = max(16, int(oversample * span * f_max))
     freqs = np.linspace(f_min, f_max, n_freq)
+    kernel = np.exp(-2j * np.pi * np.outer(freqs, x))
+    freqs.flags.writeable = False
+    kernel.flags.writeable = False
+    return freqs, kernel
+
+
+def coarse_spectrum_peak(x, y, oversample: int = 8) -> float:
+    """Frequency of the largest discrete-spectrum component, by direct sums."""
+    x = np.asarray(x, dtype=float)
+    freqs, kernel = _spectrum_kernel(x.tobytes(), oversample)
     centered = y - np.mean(y)
-    power = np.abs(np.exp(-2j * np.pi * np.outer(freqs, x)) @ centered)
+    power = np.abs(kernel @ centered)
     return float(freqs[np.argmax(power)])
 
 

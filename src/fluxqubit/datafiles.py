@@ -1,24 +1,20 @@
-"""File formats: device configs, calibration files, CSVs, bundled data.
+"""File formats: device configs, calibration files, QPT records, bundled data.
 
 All formats are plain text.  Device configuration uses an INI-style
 key-value schema (section `[device]`, experiment sections per subcommand);
-heat maps are CSV with a header row of column coordinates and a first
-column of row coordinates; decay records are long-format CSV; fit reports
-are `name = value +- stderr` lines.
+calibration files are `name = value` lines; tomography records are 36
+lines of `prep basis probability shots`.
 """
 
 from __future__ import annotations
 
 import configparser
-import csv
-import io
 import math
 from importlib import resources
 from typing import Optional
 
 import numpy as np
 
-from .benchmarking import DecayRecord
 from .pulsesim import DeviceParams, TlsDip
 from .qcore import parse_matrix
 from .tomography import AXIS_LABELS, MeasurementRecord, entry_index
@@ -147,104 +143,6 @@ def parse_calibration(text: str) -> dict:
     if missing:
         raise ValueError(f"calibration file is missing {sorted(missing)}")
     return values
-
-
-# ---------------------------------------------------------------------------
-# CSV formats
-# ---------------------------------------------------------------------------
-
-def format_heatmap_csv(row_coords, col_coords, cells, header_lines=()) -> str:
-    """Header row of column coordinates, first column of row coordinates."""
-    cells = np.asarray(cells)
-    if cells.shape != (len(row_coords), len(col_coords)):
-        raise ValueError("cell shape does not match the coordinate grids")
-    out = io.StringIO()
-    for line in header_lines:
-        out.write(f"# {line}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + [repr(float(c)) for c in col_coords])
-    for coord, row in zip(row_coords, cells):
-        writer.writerow([repr(float(coord))] + [repr(float(v)) for v in row])
-    return out.getvalue()
-
-
-def parse_heatmap_csv(text: str):
-    rows = []
-    col_coords = None
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = next(csv.reader([line]))
-        if col_coords is None:
-            col_coords = np.array([float(v) for v in fields[1:]])
-        else:
-            rows.append([float(v) for v in fields])
-    if col_coords is None or not rows:
-        raise ValueError("no heat-map data found")
-    data = np.array(rows)
-    return data[:, 0], col_coords, data[:, 1:]
-
-
-def format_decay_record_csv(record: DecayRecord, header_lines=()) -> str:
-    """Long format: length m, sequence index, value, timestamp s."""
-    out = io.StringIO()
-    for line in header_lines:
-        out.write(f"# {line}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["m", "sequence", "value", "timestamp_s"])
-    for length, values, stamps in zip(record.lengths, record.values, record.timestamps):
-        for index, (value, stamp) in enumerate(zip(values, stamps)):
-            writer.writerow([length, index, repr(float(value)), repr(float(stamp))])
-    return out.getvalue()
-
-
-def parse_decay_record_csv(text: str, kind: str = "rb") -> DecayRecord:
-    by_length = {}
-    saw_header = False
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = next(csv.reader([line]))
-        if not saw_header:
-            saw_header = True
-            continue
-        m, _index, value, stamp = fields
-        by_length.setdefault(int(m), []).append((float(value), float(stamp)))
-    if not by_length:
-        raise ValueError("no decay-record rows found")
-    lengths = tuple(sorted(by_length))
-    values = [[v for v, _ in by_length[m]] for m in lengths]
-    stamps = [[s for _, s in by_length[m]] for m in lengths]
-    return DecayRecord(lengths, values, stamps, kind=kind)
-
-
-def format_series_csv(columns: dict, header_lines=()) -> str:
-    """Generic aligned-column CSV (used for time series and Allan output)."""
-    names = list(columns)
-    arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    length = len(arrays[0])
-    if any(len(a) != length for a in arrays):
-        raise ValueError("all columns must have the same length")
-    out = io.StringIO()
-    for line in header_lines:
-        out.write(f"# {line}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names)
-    for i in range(length):
-        writer.writerow([repr(float(a[i])) for a in arrays])
-    return out.getvalue()
-
-
-def format_fit_report(params: dict, stderr: Optional[dict], header_lines=()) -> str:
-    """Key-value fit report: `name = value +- stderr` per parameter."""
-    lines = [f"# {line}" for line in header_lines]
-    for name, value in params.items():
-        err = (stderr or {}).get(name)
-        if err is None:
-            lines.append(f"{name} = {value:.9g}")
-        else:
-            lines.append(f"{name} = {value:.9g} +- {err:.3g}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -457,20 +457,20 @@ def make_pulse_executor(p: DeviceParams, cal: Calibration, gate, *,
     """Executor for qpt_record: preparation, gate, and basis setting are all
     compiled flux-pulse programs tiled into one schedule."""
     gate_seq = compile_gate(gate, cal, resolution=resolution, rise_time=rise_time)
+    # the 36 record entries share 5 distinct preparation and basis programs
+    specs = {*_PREP_GATES.values(), *_BASIS_GATES.values()} - {None}
+    compiled = {
+        spec: compile_gate(spec, cal, resolution=resolution, rise_time=rise_time)
+        for spec in specs
+    }
 
     def executor(prep_label, basis_label, shots, _rng):
         programs = []
         if _PREP_GATES[prep_label] is not None:
-            programs.append(
-                compile_gate(_PREP_GATES[prep_label], cal,
-                             resolution=resolution, rise_time=rise_time)
-            )
+            programs.append(compiled[_PREP_GATES[prep_label]])
         programs.append(gate_seq)
         if _BASIS_GATES[basis_label] is not None:
-            programs.append(
-                compile_gate(_BASIS_GATES[basis_label], cal,
-                             resolution=resolution, rise_time=rise_time)
-            )
+            programs.append(compiled[_BASIS_GATES[basis_label]])
         program = concatenate(programs)
         entry = AXIS_LABELS.index(prep_label) * 6 + AXIS_LABELS.index(basis_label)
         rng = np.random.default_rng((seed, gate_index, entry))

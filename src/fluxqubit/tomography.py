@@ -32,7 +32,6 @@ from .qcore import (
     SIGMA_Z,
     average_gate_fidelity,
     bloch_rotation,
-    choi_from_unitary,
     dagger,
     density_from_bloch,
     partial_trace_output,
@@ -334,9 +333,3 @@ def report_fidelities(gate_names, chois) -> list:
         rows.append((name, average_gate_fidelity(choi, IDEAL_GATES[name])))
     return rows
 
-
-def choi_of_gate(name: str) -> np.ndarray:
-    """Choi matrix of the ideal named gate."""
-    if name not in IDEAL_GATES:
-        raise ValueError(f"unknown gate {name!r}; known: {sorted(IDEAL_GATES)}")
-    return choi_from_unitary(IDEAL_GATES[name])

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
 from fluxqubit import FitError
 from fluxqubit import analysis as an
+from fluxqubit import datafiles as df
+from fluxqubit import demux as dx
 
 
 def test_sinusoid_recovery_noiseless():
@@ -174,3 +178,87 @@ def test_percentile_basic_and_masked():
     assert an.percentile(values, 100, exclude=mask) == 50.0
     with pytest.raises(ValueError):
         an.percentile(values, 50, exclude=np.ones(101, dtype=bool))
+
+
+def direct_spectrum_peak(x, y, oversample=8):
+    """The uncached direct-sum spectrum peak, kept as the reference."""
+    span = np.max(x) - np.min(x)
+    if span <= 0:
+        raise FitError("cannot estimate a frequency from zero time span")
+    min_spacing = np.min(np.diff(np.sort(np.unique(x))))
+    f_max = 0.5 / min_spacing
+    f_min = 0.25 / span
+    n_freq = max(16, int(oversample * span * f_max))
+    freqs = np.linspace(f_min, f_max, n_freq)
+    centered = y - np.mean(y)
+    power = np.abs(np.exp(-2j * np.pi * np.outer(freqs, x)) @ centered)
+    return float(freqs[np.argmax(power)])
+
+
+@st.composite
+def spectrum_grids(draw):
+    """Uniform, jittered, unsorted and duplicated grids with a positive span.
+
+    Equal ticks get equal jitter, so distinct samples stay at least 0.6 steps
+    apart and the frequency count stays small.
+    """
+    start = draw(st.floats(-50.0, 50.0))
+    step = draw(st.floats(0.01, 5.0))
+    if draw(st.booleans()):
+        ticks = np.arange(draw(st.integers(2, 40)), dtype=float)
+    else:
+        ticks = np.array(draw(
+            st.lists(st.integers(0, 120), min_size=2, max_size=40)
+            .filter(lambda t: len(set(t)) > 1)
+        ), dtype=float)
+    jitter = draw(st.floats(0.0, 0.4))
+    return start + step * (ticks + jitter * np.remainder(ticks * 0.6180339887, 1.0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(x=spectrum_grids(), oversample=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_cached_spectrum_peak_equals_the_direct_sum(x, oversample, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=x.size) + np.cos(2 * np.pi * rng.uniform(0, 0.5) * x / np.ptp(x))
+    expected = direct_spectrum_peak(x, y, oversample)
+    assert an.coarse_spectrum_peak(x, y, oversample) == expected
+    assert an.coarse_spectrum_peak(x, y, oversample) == expected  # cache hit
+
+
+def test_spectrum_kernel_is_cached_and_read_only():
+    x = np.linspace(0.0, 10.0, 21)
+    freqs, kernel = an._spectrum_kernel(x.tobytes(), 8)
+    assert not freqs.flags.writeable
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
+    again = an._spectrum_kernel(x.copy().tobytes(), 8)
+    assert again[0] is freqs and again[1] is kernel
+
+
+def test_changing_the_grid_after_a_call_does_not_change_later_results():
+    grid = np.linspace(0.0, 30.0, 61)
+    y = np.cos(2 * np.pi * 0.2 * grid)
+    x = grid.copy()
+    first = an.coarse_spectrum_peak(x, y)
+    x *= 2.0
+    assert an.coarse_spectrum_peak(grid, y) == first == direct_spectrum_peak(grid, y)
+    assert an.coarse_spectrum_peak(x, y) == direct_spectrum_peak(x, y)
+
+
+def test_zero_span_raises_on_every_call():
+    x = np.full(8, 3.0)
+    for _ in range(2):
+        with pytest.raises(FitError, match="zero time span"):
+            an.coarse_spectrum_peak(x, np.arange(8.0))
+
+
+def test_calibration_builds_one_kernel_per_scan_grid():
+    # 25 + 21 + 21 chevron columns share the Rabi grid, as does the resonant
+    # Rabi fit; the axis fringe has its own grid
+    p = df.load_bundled_device("device_demux.cfg")
+    before = an._spectrum_kernel.cache_info()
+    dx.calibrate(p, drive_amplitude=0.7, rise_time=1.0)
+    after = an._spectrum_kernel.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 69
+    assert after.misses - before.misses <= 2

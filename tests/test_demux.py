@@ -281,3 +281,48 @@ def test_pipeline_projections_take_few_eigendecompositions(monkeypatch):
         assert diagnostics.converged
         assert diagnostics.iterations <= diagnostics.projections
         assert diagnostics.projection_eighs <= 8 * diagnostics.projections
+
+
+def per_entry_executor(p, cal, gate, *, seed, gate_index, rise_time):
+    """make_pulse_executor as it compiled every program for every entry."""
+    gate_seq = dx.compile_gate(gate, cal, rise_time=rise_time)
+
+    def executor(prep_label, basis_label, shots, _rng):
+        programs = []
+        if dx._PREP_GATES[prep_label] is not None:
+            programs.append(dx.compile_gate(dx._PREP_GATES[prep_label], cal,
+                                            rise_time=rise_time))
+        programs.append(gate_seq)
+        if dx._BASIS_GATES[basis_label] is not None:
+            programs.append(dx.compile_gate(dx._BASIS_GATES[basis_label], cal,
+                                            rise_time=rise_time))
+        entry = tm.AXIS_LABELS.index(prep_label) * 6 + tm.AXIS_LABELS.index(basis_label)
+        rng = np.random.default_rng((seed, gate_index, entry))
+        result = dx.simulate_sequence(p, dx.concatenate(programs), drive_amplitude=DRIVE,
+                                      rng=rng)
+        return 1.0 - ps.measure(result.final_state, p, shots=shots, rng=rng)
+
+    return executor
+
+
+def test_pipeline_compiles_each_program_once_per_gate(monkeypatch):
+    p = df.load_bundled_device("device_demux.cfg")
+    cal = dx.nominal_calibration(p, DRIVE)
+    expected = [
+        tm.qpt_record(per_entry_executor(p, cal, gate, seed=7, gate_index=k, rise_time=1.0),
+                      2000).entries
+        for k, gate in enumerate(dx.QPT_GATES)
+    ]
+    calls = []
+    compile_gate = dx.compile_gate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return compile_gate(*args, **kwargs)
+
+    monkeypatch.setattr(dx, "compile_gate", counted)
+    results = dx.qpt_pipeline(p, cal, shots=2000, drive_amplitude=DRIVE, rise_time=1.0,
+                              seed=7)
+    assert len(calls) <= 30  # a gate and 5 preparation/basis programs per executor
+    for result, entries in zip(results, expected):
+        assert np.array_equal(result.record.entries, entries)

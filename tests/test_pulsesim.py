@@ -451,3 +451,25 @@ def test_segment_channel_is_memoised_and_read_only():
     assert ps.segment_channel(p, seg, 0.05, 0.7)[0] is ptm
     assert not ptm.flags.writeable
     assert fastest == pytest.approx(max(abs(p.idle_frequency - p.f_cw), p.rabi_frequency(0.7)))
+
+
+@pytest.mark.parametrize("shots", [2.5, True, 0, 1.0])
+def test_fractional_bool_and_zero_shots_are_rejected(shots):
+    p = demux_device()
+    with pytest.raises(ValueError, match="whole number"):
+        ps.measure(ps.GROUND_STATE, p, shots=shots, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="whole number"):
+        ps.rabi_chevron(p, [resonant_delta_i(p)], [0.0, 20.0], drive_amplitude=0.7,
+                        shots=shots)
+
+
+@pytest.mark.parametrize("shots", [np.int64(5), 5, None])
+def test_integer_and_exact_shots_still_pass(shots):
+    p = demux_device()
+    pe = ps.measure(ps.EXCITED_STATE, p, shots=shots, rng=np.random.default_rng(0))
+    assert pe == 1.0
+    chevron = ps.rabi_chevron(p, [resonant_delta_i(p)], [0.0, 20.0], drive_amplitude=0.7,
+                              shots=shots)
+    assert chevron[0, 0] == 0.0
+    if shots is not None:
+        assert np.all(chevron * shots == np.round(chevron * shots))
