@@ -40,3 +40,12 @@ def wrap_error(exc: Exception, message: str) -> Exception:
 def is_count(value) -> bool:
     """True for an integer (numpy integers included) that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_shots(shots) -> None:
+    """Raise ValueError unless shots is None (exact) or a whole number >= 1."""
+    if shots is not None and not (is_count(shots) and shots >= 1):
+        raise ValueError(
+            f"shots must be a whole number of at least 1 (or None for the exact "
+            f"value), got {shots!r}"
+        )

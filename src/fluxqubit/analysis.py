@@ -9,6 +9,17 @@ Three fit models are provided:
 Fits run a damped Gauss-Newton (Levenberg) iteration with analytic
 Jacobians; steps that increase the residual are rejected and the damping
 raised, so the residual norm is non-increasing over accepted iterations.
+
+The iteration is row-batched: ``fit_nlls_rows`` fits a (k, n) stack of
+series sharing one grid x in a single solve.  The rows run in lock step,
+each with its own damping, acceptance and convergence, and a finished row is
+frozen.  ``p0`` is one start for every row (a dict or a q-vector), a (k, q)
+stack of starts, or None for each row's automatic guess.  A row that fails
+(a failed guess, a non-finite residual at its start, a non-finite or
+vanishing Jacobian, or a singular step) gets its FitError in its place and
+leaves the other rows untouched.  ``fit_nlls`` is the one-row view and
+raises that error instead.  Each ``fit_nlls_rows`` call logs one DEBUG
+record: rows, failed rows and the largest iteration count.
 Initial guesses are automatic: frequencies come from a coarse discrete
 spectrum evaluated by direct summation (no uniform-grid requirement),
 amplitudes and phases from linear regression at the fixed frequency, and
@@ -25,12 +36,16 @@ oversample of 8 on a uniform grid: 0.4 MB for an 81-point scan.
 from __future__ import annotations
 
 import functools
+import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import FitError
+
+_log = logging.getLogger(__name__)
 
 CONVERGENCE_RTOL = 1e-12
 MAX_ITERATIONS = 200
@@ -57,16 +72,27 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # Models
 # ---------------------------------------------------------------------------
+# A model takes the sample grid x, shape (n,), and a (k, q) stack of
+# parameter rows; it returns (k, n) values and a (k, n, q) Jacobian.
+
+def _stack_columns(first, *rest):
+    """(k, n, q) Jacobian from its q columns; later ones broadcast to the first."""
+    jac = np.empty(first.shape + (1 + len(rest),))
+    jac[..., 0] = first
+    for j, column in enumerate(rest, 1):
+        jac[..., j] = column
+    return jac
+
 
 def _exp_decay(x, p):
-    a, decay, b = p
+    a, decay, b = p.T[..., None]
     return a * np.power(decay, x) + b
 
 
 def _exp_decay_jac(x, p):
-    a, decay, b = p
+    a, decay, b = p.T[..., None]
     px = np.power(decay, x)
-    return np.column_stack([px, a * x * np.power(decay, x - 1), np.ones_like(x)])
+    return _stack_columns(px, a * x * np.power(decay, x - 1), 1.0)
 
 
 def _exp_decay_guess(x, y):
@@ -87,29 +113,27 @@ def _exp_decay_guess(x, y):
 
 
 def _sinusoid(x, p):
-    a, f, phi, c = p
+    a, f, phi, c = p.T[..., None]
     return a * np.sin(2 * np.pi * f * x + phi) + c
 
 
 def _sinusoid_jac(x, p):
-    a, f, phi, c = p
+    a, f, phi, c = p.T[..., None]
     arg = 2 * np.pi * f * x + phi
-    return np.column_stack(
-        [np.sin(arg), a * 2 * np.pi * x * np.cos(arg), a * np.cos(arg), np.ones_like(x)]
-    )
+    cos = np.cos(arg)
+    return _stack_columns(np.sin(arg), a * 2 * np.pi * x * cos, a * cos, 1.0)
 
 
 def _cosine_fringe(x, p):
-    a, f, phi, c = p
+    a, f, phi, c = p.T[..., None]
     return a * np.cos(2 * np.pi * f * x + phi) + c
 
 
 def _cosine_fringe_jac(x, p):
-    a, f, phi, c = p
+    a, f, phi, c = p.T[..., None]
     arg = 2 * np.pi * f * x + phi
-    return np.column_stack(
-        [np.cos(arg), -a * 2 * np.pi * x * np.sin(arg), -a * np.sin(arg), np.ones_like(x)]
-    )
+    sin = np.sin(arg)
+    return _stack_columns(np.cos(arg), -a * 2 * np.pi * x * sin, -a * sin, 1.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -177,103 +201,203 @@ MODELS = {
 
 
 # ---------------------------------------------------------------------------
-# Damped Gauss-Newton (Levenberg) minimization
+# Damped Gauss-Newton (Levenberg) minimization, one row per series
 # ---------------------------------------------------------------------------
+
+def _solve_rows(lhs, rhs):
+    """Batched solve; a singular stack is solved again row by row.
+
+    Returns the steps (NaN in singular rows) and {position: LinAlgError}.
+    """
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0], {}
+    except np.linalg.LinAlgError:
+        steps = np.full(rhs.shape, np.nan)
+        singular = {}
+        for i, (a, b) in enumerate(zip(lhs, rhs)):
+            try:
+                steps[i] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError as exc:
+                singular[i] = exc
+        return steps, singular
+
+
+def _row_costs(r):
+    """r . r of each row, computed as the 1-d product r @ r is."""
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0].tolist()
+
 
 def levenberg_marquardt(residual_fn, jacobian_fn, p0, max_iterations=MAX_ITERATIONS,
                         rtol=CONVERGENCE_RTOL):
-    """Minimize ||residual(p)||; returns (p, cov, iterations, converged, history).
+    """Minimize ||residual|| for every row of the (k, q) start stack p0.
 
-    The damping factor multiplies the scaled diagonal of J^T J; rejected
-    steps raise it, accepted steps lower it, so the recorded history of
-    accepted residual norms is non-increasing.
+    residual_fn(P, rows) returns the (len(rows), n) residuals of the series
+    numbered `rows` at parameter rows P; jacobian_fn(P) returns their
+    (len(P), n, q) Jacobians.  The rows run in lock step: model calls,
+    normal equations and damped solves are batched, while each row keeps its
+    own damping factor, cost and history as Python floats.  The damping
+    multiplies the scaled diagonal of J^T J; rejected steps raise it and
+    accepted steps lower it, so each row's history of accepted residual
+    norms is non-increasing.  A row stops, and is frozen, when its relative
+    cost change falls below rtol, its gradient below GRADIENT_TOL, or no
+    damping gives descent.
+
+    Returns one entry per row: (p, cov, iterations, converged, degenerate,
+    history), or the FitError that stopped that row alone.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    p = np.asarray(p0, dtype=float).copy()
-    r = residual_fn(p)
-    if not np.all(np.isfinite(r)):
-        raise FitError("residual is not finite at the initial guess")
-    cost = float(r @ r)
-    history = [np.sqrt(cost)]
-    mu = 1e-3
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    p = np.array(p0, dtype=float, ndmin=2)
+    k, q = p.shape
+    idx = np.arange(k)  # series numbers of the running rows
+    r = residual_fn(p, idx)
+    n = r.shape[1]
+    cost = _row_costs(r)
+    history = [[math.sqrt(c)] for c in cost]
+    mu = [1e-3] * k
+    outcome = [None] * k
+    final = [None] * k  # (p, cost, J^T J, iterations, converged) per finished row
+    keep = np.isfinite(r).all(axis=1).tolist()
+    for i, kept in enumerate(keep):
+        if not kept:
+            outcome[i] = FitError("residual is not finite at the initial guess")
+    eye = np.eye(q)
+    for iteration in range(1, max_iterations + 1):
+        if not all(keep):  # drop the rows that finished or failed
+            idx, p, r = idx[keep], p[keep], r[keep]
+            cost = [c for c, kept in zip(cost, keep) if kept]
+            mu = [m for m, kept in zip(mu, keep) if kept]
+            if not cost:
+                break
+        active = len(cost)
         jac = jacobian_fn(p)
-        if not np.all(np.isfinite(jac)):
-            raise FitError("Jacobian is not finite")
-        jtj = jac.T @ jac
-        gradient = jac.T @ r
-        scale = np.diag(jtj).copy()
-        if np.max(scale) <= 0.0:
-            raise FitError("singular Jacobian: all model derivatives vanish")
-        scale[scale <= 0.0] = np.max(scale)
-        if np.max(np.abs(gradient)) < GRADIENT_TOL:
-            converged = True
-            break
-        accepted = False
+        jt = jac.transpose(0, 2, 1)
+        jtj = jt @ jac
+        descent = -(jt @ r[:, :, None])[:, :, 0]
+        scale = jtj.diagonal(0, 1, 2)
+        top = scale.max(axis=1)
+        # a vanishing derivative takes its row's largest scale
+        scale = np.where(scale > 0.0, scale, top[:, None])
+        damped = scale[:, :, None] * eye
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        keep = (finite & (top > 0.0)).tolist()
+        for j, kept in enumerate(keep):
+            if not kept:
+                outcome[idx[j]] = FitError(
+                    "singular Jacobian: all model derivatives vanish" if finite[j]
+                    else "Jacobian is not finite")
+        small = (np.abs(descent).max(axis=1) < GRADIENT_TOL).tolist()
+        converged = [kept and s for kept, s in zip(keep, small)]
+        stepped = list(converged)
+        searching = [j for j in range(active) if keep[j] and not small[j]]
         for _ in range(50):
-            try:
-                step = np.linalg.solve(jtj + mu * np.diag(scale), -gradient)
-            except np.linalg.LinAlgError as exc:
-                raise FitError("singular Jacobian in Levenberg step") from exc
-            trial = p + step
-            r_trial = residual_fn(trial)
-            cost_trial = float(r_trial @ r_trial) if np.all(np.isfinite(r_trial)) else np.inf
-            if cost_trial <= cost:
-                rel_change = (cost - cost_trial) / max(cost, 1e-300)
-                p, r, cost = trial, r_trial, cost_trial
-                history.append(np.sqrt(cost))
-                mu = max(mu / 3.0, 1e-12)
-                accepted = True
-                if rel_change < rtol:
-                    converged = True
+            if not searching:
                 break
-            mu *= 10.0
-            if mu > 1e14:
-                break
-        if not accepted:
-            converged = True  # no descent direction left: local optimum
-            break
-        if converged:
-            break
-    n, k = len(r), len(p)
-    degenerate = bool(np.linalg.cond(jac.T @ jac) > DEGENERATE_CONDITION) if k else False
-    cov = None
-    if converged and n > k:
-        sigma2 = cost / (n - k)
-        cov = sigma2 * np.linalg.pinv(jac.T @ jac)
-    return p, cov, iterations, converged, degenerate, tuple(history)
+            # a slice when every row searches: fancy indexing made a single fit 1.1x slower
+            sub = slice(None) if len(searching) == active else searching
+            lhs = jtj[sub] + np.array([mu[j] for j in searching])[:, None, None] * damped[sub]
+            step, singular = _solve_rows(lhs, descent[sub])
+            trial = p[sub] + step
+            r_trial = residual_fn(trial, idx[sub])
+            # a non-finite residual costs inf or NaN, which never beats a finite cost
+            cost_trial = _row_costs(r_trial)
+            won, won_trial, lost = [], [], []
+            for t, j in enumerate(searching):
+                if t in singular:
+                    outcome[idx[j]] = FitError("singular Jacobian in Levenberg step")
+                    outcome[idx[j]].__cause__ = singular[t]
+                    keep[j] = False
+                    continue
+                c = cost_trial[t]
+                if c <= cost[j]:
+                    converged[j] = (cost[j] - c) / max(cost[j], 1e-300) < rtol
+                    cost[j] = c
+                    history[idx[j]].append(math.sqrt(c))
+                    mu[j] = max(mu[j] / 3.0, 1e-12)
+                    stepped[j] = True
+                    won.append(j)
+                    won_trial.append(t)
+                else:
+                    mu[j] *= 10.0
+                    if mu[j] <= 1e14:
+                        lost.append(j)
+            if len(won) == active:  # every row stepped: take the trial arrays whole
+                p, r = trial, r_trial
+            else:
+                p[won], r[won] = trial[won_trial], r_trial[won_trial]
+            searching = lost
+        for j in range(active):
+            if keep[j] and (converged[j] or not stepped[j]):  # no descent: local optimum
+                final[idx[j]] = (p[j], cost[j], jtj[j], iteration, True)
+                keep[j] = False
+    else:
+        for j in np.flatnonzero(keep):  # out of iterations
+            final[idx[j]] = (p[j], cost[j], jtj[j], max_iterations, False)
+    solved = [i for i in range(k) if outcome[i] is None]
+    if not solved:
+        return outcome
+    jtjs = np.array([final[i][2] for i in solved])
+    degenerate = (np.linalg.cond(jtjs) > DEGENERATE_CONDITION).tolist()
+    with_cov = [t for t, i in enumerate(solved) if final[i][4] and n > q]
+    pinv = dict(zip(with_cov, np.linalg.pinv(jtjs[with_cov]))) if with_cov else {}
+    for t, i in enumerate(solved):
+        params, cost_i, _, iterations, converged_i = final[i]
+        cov = cost_i / (n - q) * pinv[t] if t in pinv else None
+        outcome[i] = (params, cov, iterations, converged_i, degenerate[t], tuple(history[i]))
+    return outcome
 
 
-def fit_nlls(model: str, x, y, p0=None, max_iterations=MAX_ITERATIONS,
-             rtol=CONVERGENCE_RTOL) -> FitResult:
-    """Fit one of the named models; see the module docstring for the forms."""
+def fit_nlls_rows(model: str, x, Y, p0=None, max_iterations=MAX_ITERATIONS,
+                  rtol=CONVERGENCE_RTOL) -> list:
+    """Fit each row of Y against the shared grid x in one row-batched solve.
+
+    p0 is one start for every row (a dict or a q-vector), a (k, q) stack of
+    starts, or None for each row's automatic guess.  Returns one entry per
+    row: its FitResult, or the FitError that stopped that row (returned,
+    not raised).
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {sorted(MODELS)}")
     fn, jac_fn, guess_fn, names = MODELS[model]
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be one-dimensional and the same length")
+    Y = np.asarray(Y, dtype=float)
+    if x.ndim != 1 or Y.ndim != 2 or Y.shape[1] != x.size:
+        raise ValueError("x must be one-dimensional and Y a stack of rows of its length")
     if len(x) < len(names) + 1:
         raise ValueError(f"need at least {len(names) + 1} points to fit {model}")
+    results = [None] * len(Y)
     if p0 is None:
-        start = guess_fn(x, y)
-    elif isinstance(p0, dict):
-        start = np.array([p0[n] for n in names], dtype=float)
+        starts = []
+        for i, y in enumerate(Y):
+            try:
+                starts.append(guess_fn(x, y))
+            except FitError as exc:
+                results[i] = exc
     else:
-        start = np.asarray(p0, dtype=float)
-    params, cov, iterations, converged, degenerate, history = levenberg_marquardt(
-        lambda p: y - fn(x, p), lambda p: -jac_fn(x, p), start,
-        max_iterations=max_iterations, rtol=rtol,
-    )
+        if isinstance(p0, dict):
+            p0 = [p0[name] for name in names]
+        starts = np.empty((len(Y), len(names)))
+        starts[:] = p0
+    rows = [i for i, result in enumerate(results) if result is None]
+    Y = Y[rows]
+    if rows:
+        fitted = levenberg_marquardt(lambda P, sub: Y[sub] - fn(x, P), lambda P: -jac_fn(x, P),
+                                     starts, max_iterations=max_iterations, rtol=rtol)
+        for i, entry in zip(rows, fitted):
+            results[i] = entry if isinstance(entry, FitError) else _fit_result(names, *entry)
+    if _log.isEnabledFor(logging.DEBUG):
+        iterations = [r.iterations for r in results if isinstance(r, FitResult)]
+        _log.debug("fit_nlls_rows %s: %d rows, %d failed, at most %d iterations", model,
+                   len(results), len(results) - len(iterations), max(iterations, default=0))
+    return results
+
+
+def _fit_result(names, params, cov, iterations, converged, degenerate, history):
     stderr = None
-    if converged and cov is not None:
-        stderr = {n: float(np.sqrt(max(cov[i, i], 0.0))) for i, n in enumerate(names)}
+    if cov is not None:
+        stderr = {n: float(np.sqrt(max(cov[j, j], 0.0))) for j, n in enumerate(names)}
     return FitResult(
-        params={n: float(params[i]) for i, n in enumerate(names)},
+        params={n: float(params[j]) for j, n in enumerate(names)},
         stderr=stderr,
         residual_norm=history[-1],
         converged=converged,
@@ -281,6 +405,19 @@ def fit_nlls(model: str, x, y, p0=None, max_iterations=MAX_ITERATIONS,
         degenerate=degenerate,
         history=history,
     )
+
+
+def fit_nlls(model: str, x, y, p0=None, max_iterations=MAX_ITERATIONS,
+             rtol=CONVERGENCE_RTOL) -> FitResult:
+    """Fit one of the named models to one series (one row of fit_nlls_rows)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("x and y must be one-dimensional and the same length")
+    (result,) = fit_nlls_rows(model, x, y[None], p0, max_iterations, rtol)
+    if isinstance(result, FitError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ with over-rotation and axis error, then depolarizing, then amplitude
 damping; the pulse backend's is an ideal rotation, then fixed-duration T1
 damping and dephasing.  Depolarizing-only noise takes a closed-form
 survival shortcut instead (see ChannelBackend.supports_survival_shortcut).
+
+The temporal-stability run refits a moving window of iterations around each
+iteration.  All windows are fitted in one row-batched `fit_nlls_rows` call,
+each started from the fit of the mean over all iterations (the common
+start), and the per-window fits are returned with the series.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError, is_count, wrap_error
-from .analysis import FitResult, fit_nlls
+from . import ConsistencyError, FitError, check_shots, is_count, wrap_error
+from .analysis import FitResult, fit_nlls, fit_nlls_rows
 from .cliffords import (
     QUARTER_TURNS,
     PhysicalPulseList,
@@ -68,8 +73,7 @@ class RBConfig:
             raise ValueError("lengths must be strictly increasing")
         if not (is_count(self.sequences_per_length) and self.sequences_per_length >= 1):
             raise ValueError("sequences_per_length must be an integer of at least 1")
-        if self.shots is not None and not (is_count(self.shots) and self.shots >= 1):
-            raise ValueError("shots must be an integer of at least 1, or None")
+        check_shots(self.shots)
 
 
 def log_spaced_lengths(start: int, stop: int, count: int) -> tuple:
@@ -407,6 +411,7 @@ class StabilitySeries:
     times: np.ndarray        # seconds, iteration start times
     average_fidelity: np.ndarray
     window: int
+    fits: tuple = ()         # the FitResult of each iteration's window
 
 
 def temporal_stability(backend, config: RBConfig, iterations: int, window: int,
@@ -415,12 +420,15 @@ def temporal_stability(backend, config: RBConfig, iterations: int, window: int,
 
     Each iteration measures one random sequence per length; the fidelity at
     iteration j comes from refitting the window of `window` iterations
-    centered on j (truncated symmetrically at the edges).
+    centered on j (truncated symmetrically at the edges).  All windows are
+    fitted in one row-batched solve, each started from the fit of the mean
+    over all iterations.
     """
-    if window % 2 == 0:
-        raise ValueError("window must be odd")
-    if iterations < window:
-        raise ValueError("need at least `window` iterations")
+    if not (is_count(window) and window >= 1 and window % 2 == 1):
+        raise ValueError(f"window must be an odd integer of at least 1, got {window!r}")
+    if not (is_count(iterations) and iterations >= window):
+        raise ValueError(f"iterations must be an integer of at least window = {window}, "
+                         f"got {iterations!r}")
     lengths = config.lengths
     survival = np.empty((iterations, len(lengths)))
     for j in range(iterations):
@@ -431,13 +439,14 @@ def temporal_stability(backend, config: RBConfig, iterations: int, window: int,
                                         f"iteration {j}, length {m}")
     m_arr = np.asarray(lengths, dtype=float)
     half = window // 2
-    fidelities = np.empty(iterations)
-    p0 = None
-    for j in range(iterations):
-        h = min(half, j, iterations - 1 - j)
-        means = survival[j - h:j + h + 1].mean(axis=0)
-        fit = fit_nlls("exp_decay", m_arr, means, p0=p0)
-        fidelities[j] = average_fidelity_from_p(fit["p"])
-        p0 = [fit["A"], fit["p"], fit["B"]]
+    spans = [min(half, j, iterations - 1 - j) for j in range(iterations)]
+    means = np.array([survival[j - h:j + h + 1].mean(axis=0) for j, h in enumerate(spans)])
+    common = fit_nlls("exp_decay", m_arr, survival.mean(axis=0))
+    fits = fit_nlls_rows("exp_decay", m_arr, means, p0=common.params)
+    for j, fit in enumerate(fits):
+        if isinstance(fit, FitError):
+            raise FitError(f"stability window {j}: {fit}") from fit
+    fidelities = np.array([average_fidelity_from_p(fit["p"]) for fit in fits])
     times = np.arange(iterations) * seconds_per_iteration
-    return StabilitySeries(times=times, average_fidelity=fidelities, window=window)
+    return StabilitySeries(times=times, average_fidelity=fidelities, window=window,
+                           fits=tuple(fits))

@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import CalibrationError, FitError
-from .analysis import fit_nlls
+from . import CalibrationError
+from .analysis import FitResult, fit_nlls, fit_nlls_rows
 from .pulsesim import (
     GROUND_STATE,
     DeviceParams,
@@ -147,14 +147,6 @@ def nominal_calibration(p: DeviceParams, drive_amplitude: float) -> Calibration:
 # Calibration scans
 # ---------------------------------------------------------------------------
 
-def _fit_column_contrast(t_grid, column):
-    try:
-        fit = fit_nlls("cosine_fringe", t_grid, column)
-    except FitError:
-        return 0.0
-    return 2.0 * abs(fit["A"]) if fit.converged else 0.0
-
-
 def calibrate_amplitude(p: DeviceParams, *, delta_i_grid, t_grid,
                         drive_amplitude: float, rise_time: float = 0.0,
                         dt: float = 0.05, min_contrast: float = 0.2,
@@ -170,9 +162,11 @@ def calibrate_amplitude(p: DeviceParams, *, delta_i_grid, t_grid,
             p, grid, t_grid, drive_amplitude=drive_amplitude,
             rise_time=rise_time, dt=dt,
         )
-        contrasts = np.array(
-            [_fit_column_contrast(t_grid, scan[:, j]) for j in range(grid.size)]
-        )
+        # a column whose fit fails or does not converge has no contrast
+        contrasts = np.array([
+            2.0 * abs(fit["A"]) if isinstance(fit, FitResult) and fit.converged else 0.0
+            for fit in fit_nlls_rows("cosine_fringe", t_grid, scan.T)
+        ])
         peak = int(np.argmax(contrasts))
         if stage == 0 and contrasts[peak] < min_contrast:
             raise CalibrationError(

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError, is_count
+from . import ConsistencyError, check_shots
 from .qcore import (
     IDENTITY,
     SIGMA_X,
@@ -373,7 +373,7 @@ def measure(rho: np.ndarray, p: DeviceParams, shots: Optional[int] = None,
     p_obs = observed_probability(p, pe)
     if shots is None:
         return p_obs
-    _check_shots(shots)
+    check_shots(shots)
     if rng is None:
         raise ValueError("finite-shot measurement needs a random generator")
     return rng.binomial(int(shots), p_obs) / int(shots)
@@ -442,16 +442,8 @@ def _check_chevron_dt(p: DeviceParams, di: float, omega: float, dt: float):
         )
 
 
-def _check_shots(shots):
-    if not (is_count(shots) and shots >= 1):
-        raise ValueError(
-            f"shots must be a whole number of at least 1 (or None for the exact "
-            f"value), got {shots!r}"
-        )
-
-
 def _sample_map(p: DeviceParams, pe_map: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    _check_shots(shots)
+    check_shots(shots)
     out = np.empty_like(pe_map)
     for idx in np.ndindex(pe_map.shape):
         rng = np.random.default_rng((seed, *idx))

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError, is_count, wrap_error
+from . import ConsistencyError, check_shots, is_count, wrap_error
 from .qcore import (
     IDENTITY,
     PAULI_BASIS,
@@ -91,6 +91,7 @@ class MeasurementRecord:
     shots: Optional[int] = None  # None = exact Born probabilities
 
     def __post_init__(self):
+        check_shots(self.shots)
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (36,):
             raise ValueError(f"expected 36 entries, got shape {entries.shape}")
@@ -160,9 +161,10 @@ def unitary_executor(u: np.ndarray, visibility: float = 1.0):
             np.trace(rho @ BASIS_PROJECTORS[AXIS_LABELS.index(basis_label)]).real
         )
         prob = 0.5 + visibility * (prob - 0.5)
+        check_shots(shots)
         if shots is None:
             return prob
-        return rng.binomial(int(shots), min(max(prob, 0.0), 1.0)) / int(shots)
+        return rng.binomial(shots, min(max(prob, 0.0), 1.0)) / shots
 
     return executor
 

@@ -262,3 +262,123 @@ def test_calibration_builds_one_kernel_per_scan_grid():
     after = an._spectrum_kernel.cache_info()
     assert (after.hits + after.misses) - (before.hits + before.misses) == 69
     assert after.misses - before.misses <= 2
+
+
+@st.composite
+def fit_rows(draw):
+    """A model, its sample grid, and 1-6 rows of noisy model data."""
+    model = draw(st.sampled_from(["exp_decay", "cosine_fringe"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 6))
+    noise = draw(st.sampled_from([0.0, 1e-3, 2e-2]))
+    if model == "exp_decay":
+        x = np.unique(np.round(np.logspace(0, np.log10(rng.uniform(100, 3000)), 12)))
+        p = rng.uniform(0.98, 0.9995, size=(k, 1))
+        Y = rng.uniform(0.2, 0.5, size=(k, 1)) * p**x + rng.uniform(0.4, 0.6, size=(k, 1))
+    else:
+        x = np.linspace(0.0, rng.uniform(50.0, 200.0), 81)
+        f = rng.uniform(0.01, 0.08, size=(k, 1))
+        Y = (rng.uniform(0.1, 0.5, size=(k, 1)) * np.cos(2 * np.pi * f * x
+             + rng.uniform(-3.0, 3.0, size=(k, 1))) + 0.5)
+    return model, x, Y + noise * rng.normal(size=Y.shape)
+
+
+def assert_same_fit(row, single):
+    assert row.converged == single.converged
+    assert row.iterations == single.iterations
+    for name, value in single.params.items():
+        assert abs(row[name] - value) <= 1e-12 * max(abs(value), 1e-300)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=fit_rows())
+def test_each_row_of_a_batched_fit_matches_its_single_fit(case):
+    model, x, Y = case
+    for row, y in zip(an.fit_nlls_rows(model, x, Y), Y):
+        assert_same_fit(row, an.fit_nlls(model, x, y))
+
+
+def test_a_nan_row_fails_alone():
+    x = np.arange(12.0)
+    Y = np.array([0.4 * q**x + 0.5 for q in (0.9, 0.8, 0.95)])
+    Y[1, 3] = np.nan
+    results = an.fit_nlls_rows("exp_decay", x, Y)
+    assert isinstance(results[1], FitError)
+    assert "not finite" in str(results[1])
+    for i in (0, 2):
+        assert results[i] == an.fit_nlls("exp_decay", x, Y[i])
+    assert [results[0], results[2]] == an.fit_nlls_rows("exp_decay", x, Y[[0, 2]])
+
+
+def test_a_failed_guess_is_returned_per_row():
+    x = np.full(8, 3.0)
+    results = an.fit_nlls_rows("cosine_fringe", x, np.ones((2, 8)))
+    assert all(isinstance(r, FitError) and "zero time span" in str(r) for r in results)
+    with pytest.raises(FitError, match="zero time span"):
+        an.fit_nlls("cosine_fringe", x, np.ones(8))
+
+
+def test_a_non_finite_jacobian_stops_only_its_row():
+    # 0 ** (x - 1) at x = 0 makes the p-derivative 0 * inf; the residual is finite
+    x = np.arange(10.0)
+    Y = np.array([0.4 * 0.9**x + 0.5, 0.4 * 0.8**x + 0.5])
+    starts = np.array([[0.3, 0.85, 0.4], [1.0, 0.0, 0.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        results = an.fit_nlls_rows("exp_decay", x, Y, p0=starts)
+        with pytest.raises(FitError, match="Jacobian is not finite"):
+            an.fit_nlls("exp_decay", x, Y[1], p0=starts[1])
+    assert isinstance(results[1], FitError)
+    assert str(results[1]) == "Jacobian is not finite"
+    assert results[0] == an.fit_nlls("exp_decay", x, Y[0], p0=starts[0])
+
+
+def test_p0_forms_are_equivalent():
+    x = np.linspace(0.0, 50.0, 40)
+    Y = np.array([0.4 * q**x + 0.5 for q in (0.95, 0.9)])
+    start = {"A": 0.3, "p": 0.92, "B": 0.45}
+    vector = [0.3, 0.92, 0.45]
+    by_dict = an.fit_nlls_rows("exp_decay", x, Y, p0=start)
+    assert by_dict == an.fit_nlls_rows("exp_decay", x, Y, p0=vector)
+    assert by_dict == an.fit_nlls_rows("exp_decay", x, Y, p0=[vector, vector])
+    assert by_dict[1] == an.fit_nlls("exp_decay", x, Y[1], p0=start)
+    with pytest.raises(ValueError):
+        an.fit_nlls_rows("exp_decay", x, Y, p0=[vector] * 3)
+    with pytest.raises(ValueError):
+        an.fit_nlls_rows("exp_decay", x, Y[0])
+    assert an.fit_nlls_rows("exp_decay", x, Y[:0]) == []
+
+
+def test_singular_rows_are_found_in_a_batched_solve():
+    lhs = np.array([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    rhs = np.array([[1.0, 2.0], [1.0, 1.0], [4.0, 2.0]])
+    steps, singular = an._solve_rows(lhs, rhs)
+    assert list(singular) == [1]
+    assert isinstance(singular[1], np.linalg.LinAlgError)
+    assert steps[0].tolist() == [1.0, 2.0] and steps[2].tolist() == [2.0, 1.0]
+    assert np.isnan(steps[1]).all()
+
+
+def test_each_batched_fit_logs_one_debug_record(caplog):
+    x = np.arange(12.0)
+    Y = np.array([0.4 * 0.9**x + 0.5, np.full(12, np.nan)])
+    with caplog.at_level("DEBUG", logger="fluxqubit.analysis"):
+        results = an.fit_nlls_rows("exp_decay", x, Y)
+    records = [r for r in caplog.records if r.name == "fluxqubit.analysis"]
+    assert len(records) == 1
+    assert records[0].getMessage() == (
+        f"fit_nlls_rows exp_decay: 2 rows, 1 failed, at most {results[0].iterations} iterations")
+
+
+def test_fits_run_without_numpy_2_only_functions(monkeypatch):
+    # the package supports numpy >= 1.24, which has no np.vecdot
+    x = np.arange(12.0)
+    Y = np.array([0.4 * q**x + 0.5 for q in (0.9, 0.8)])
+    expected = an.fit_nlls_rows("exp_decay", x, Y)
+    monkeypatch.delattr(np, "vecdot", raising=False)
+    assert an.fit_nlls_rows("exp_decay", x, Y) == expected
+    assert an.fit_nlls("exp_decay", x, Y[0]) == expected[0]
+
+
+def test_row_costs_equal_the_one_dimensional_products():
+    r = np.random.default_rng(3).normal(size=(40, 81)) * np.logspace(-8, 2, 40)[:, None]
+    assert an._row_costs(r) == [float(row @ row) for row in r]

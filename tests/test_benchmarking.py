@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxqubit import analysis as an
 from fluxqubit import benchmarking as rb
 from fluxqubit import cliffords as cl
 from fluxqubit.qcore import bloch_rotation, phase_aligned_distance
@@ -450,3 +451,62 @@ def test_timestamps_count_sequences_in_run_order():
     assert rb.run_rb(rb.ChannelBackend(), config, seconds_per_sequence=2.0).timestamps == expected
     pb = rb.run_pb(rb.ChannelBackend(), config, seconds_per_sequence=2.0)
     assert pb.purity.timestamps == pb.survival.timestamps == expected
+
+
+def sequential_stability_fidelities(backend, config, iterations, window):
+    """The moving-window refit as a chain of single fits, each window
+    warm-started from the previous one's parameters (the reference)."""
+    lengths = config.lengths
+    survival = np.empty((iterations, len(lengths)))
+    for j in range(iterations):
+        for i_m, m in enumerate(lengths):
+            rng = rb._sequence_rng(config.seed, "stability", j, i_m)
+            compiled = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)
+            survival[j, i_m] = rb._measure(backend, compiled.pulses, config.shots, rng, "")
+    m_arr = np.asarray(lengths, dtype=float)
+    half = window // 2
+    fidelities = np.empty(iterations)
+    converged = np.empty(iterations, dtype=bool)
+    p0 = None
+    for j in range(iterations):
+        h = min(half, j, iterations - 1 - j)
+        fit = an.fit_nlls("exp_decay", m_arr, survival[j - h:j + h + 1].mean(axis=0), p0=p0)
+        fidelities[j] = rb.average_fidelity_from_p(fit["p"])
+        converged[j] = fit.converged
+        p0 = [fit["A"], fit["p"], fit["B"]]
+    return fidelities, converged
+
+
+@pytest.mark.parametrize("shots", [None, 200])
+def test_batched_stability_refit_matches_the_sequential_chain(shots):
+    backend = rb.ChannelBackend(rb.GateNoiseModel(depolarizing_prob=2e-3), visibility=0.9)
+    config = rb.RBConfig(lengths=rb.log_spaced_lengths(1, 600, 8), sequences_per_length=1,
+                         shots=shots, seed=41)
+    iterations, window = 60, 11
+    series = rb.temporal_stability(backend, config, iterations=iterations, window=window)
+    expected, expected_converged = sequential_stability_fidelities(
+        backend, config, iterations, window)
+    assert len(series.fits) == iterations
+    converged = np.array([fit.converged for fit in series.fits])
+    # every full-width window converges from either start and lands on the
+    # same minimum; a shot-noisy edge window of 1-3 iterations can run off
+    # towards p -> 1 without converging, and then its end point depends on
+    # where it started
+    full = slice(window // 2, iterations - window // 2)
+    assert converged[full].all() and expected_converged[full].all()
+    both = converged & expected_converged
+    assert np.max(np.abs(series.average_fidelity - expected)[both]) <= 1e-9
+    if shots is None:
+        assert both.all()
+    for fit, fidelity in zip(series.fits, series.average_fidelity):
+        assert rb.average_fidelity_from_p(fit["p"]) == fidelity
+
+
+@pytest.mark.parametrize("iterations, window", [
+    (10, -1), (10, 0), (10, 3.0), (10, True), (5.0, 3), (True, 1),
+])
+def test_temporal_stability_rejects_bad_counts(iterations, window):
+    backend = rb.ChannelBackend(rb.GateNoiseModel())
+    config = rb.RBConfig(lengths=(1, 5, 25), sequences_per_length=1)
+    with pytest.raises(ValueError):
+        rb.temporal_stability(backend, config, iterations=iterations, window=window)

@@ -237,10 +237,10 @@ def test_calibration_file_round_trip(tmp_path):
 def test_calibrate_amplitude_treats_fit_errors_as_zero_contrast(monkeypatch):
     from fluxqubit import FitError
 
-    def singular(*args, **kwargs):
-        raise FitError("singular Jacobian")
+    def singular(model, x, Y, p0=None):
+        return [FitError("singular Jacobian")] * len(Y)
 
-    monkeypatch.setattr(dx, "fit_nlls", singular)
+    monkeypatch.setattr(dx, "fit_nlls_rows", singular)
     p = demux_device()
     grid = dx.nominal_calibration(p, DRIVE).delta_i_res + np.linspace(-1.0, 1.0, 3)
     with pytest.raises(CalibrationError, match="no Rabi contrast"):
@@ -252,12 +252,48 @@ def test_calibrate_amplitude_propagates_other_fit_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("bug in the fit model")
 
-    monkeypatch.setattr(dx, "fit_nlls", broken)
+    monkeypatch.setattr(dx, "fit_nlls_rows", broken)
     p = demux_device()
     grid = dx.nominal_calibration(p, DRIVE).delta_i_res + np.linspace(-1.0, 1.0, 3)
     with pytest.raises(ZeroDivisionError):
         dx.calibrate_amplitude(p, delta_i_grid=grid, t_grid=np.linspace(0.0, 160.0, 41),
                                drive_amplitude=DRIVE)
+
+
+@pytest.mark.parametrize("failure", ["error", "unconverged"])
+def test_calibrate_amplitude_zeroes_only_the_failing_column(monkeypatch, failure):
+    from fluxqubit import FitError
+
+    p = demux_device()
+    grid = dx.nominal_calibration(p, DRIVE).delta_i_res + np.linspace(-2.0, 2.0, 9)
+    kwargs = dict(delta_i_grid=grid, t_grid=np.linspace(0.0, 160.0, 41),
+                  drive_amplitude=DRIVE, refinements=0)
+    real = dx.fit_nlls_rows
+    fitted = []
+
+    def failing(column):
+        def fit_rows(model, x, Y, p0=None):
+            results = real(model, x, Y, p0)
+            fitted.append(list(results))
+            results[column] = (FitError("singular Jacobian") if failure == "error"
+                                else dataclasses.replace(results[column], converged=False))
+            return results
+        return fit_rows
+
+    baseline = dx.calibrate_amplitude(p, **kwargs)
+    monkeypatch.setattr(dx, "fit_nlls_rows", failing(0))
+    # a far-off column fails: the peak and its neighbours keep their contrasts
+    assert dx.calibrate_amplitude(p, **kwargs) == baseline
+    contrasts = [2.0 * abs(fit["A"]) for fit in fitted[0]]
+    peak = int(np.argmax(contrasts))
+    assert peak >= 2
+    runner_up = int(np.argsort(contrasts)[-2])
+    monkeypatch.setattr(dx, "fit_nlls_rows", failing(peak))
+    moved = dx.calibrate_amplitude(p, **kwargs)
+    # the failed or unconverged peak column has no contrast: the runner-up wins
+    step = grid[1] - grid[0]
+    assert moved != baseline
+    assert abs(moved - grid[runner_up]) <= 0.5 * step + 1e-12
 
 
 def test_pipeline_projections_take_few_eigendecompositions(monkeypatch):

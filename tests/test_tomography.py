@@ -338,3 +338,21 @@ def test_reconstruct_round_trip_of_every_bundled_matrix(gate):
     assert diag.converged
     assert np.linalg.norm(choi - reference) < 1e-5
     assert diag.iterations <= diag.projections <= diag.projection_eighs
+
+
+@pytest.mark.parametrize("shots", [2.5, True, 0, -3])
+def test_fractional_bool_and_non_positive_shots_are_rejected(shots):
+    with pytest.raises(ValueError, match="whole number"):
+        tm.qpt_record(tm.unitary_executor(qc.IDENTITY), shots=shots,
+                      rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="whole number"):
+        tm.MeasurementRecord(entries=np.full(36, 0.5), shots=shots)
+
+
+@pytest.mark.parametrize("shots", [np.int64(5), None])
+def test_integer_and_exact_shots_pass(shots):
+    record = tm.qpt_record(tm.unitary_executor(tm.IDEAL_GATES["X90"]), shots=shots,
+                           rng=np.random.default_rng(0))
+    assert record.shots is shots
+    if shots is not None:
+        assert np.all(record.entries * shots == np.round(record.entries * shots))
