@@ -227,8 +227,7 @@ def _row_costs(r):
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0].tolist()
 
 
-def levenberg_marquardt(residual_fn, jacobian_fn, p0, max_iterations=MAX_ITERATIONS,
-                        rtol=CONVERGENCE_RTOL):
+def levenberg_marquardt(residual_fn, jacobian_fn, p0):
     """Minimize ||residual|| for every row of the (k, q) start stack p0.
 
     residual_fn(P, rows) returns the (len(rows), n) residuals of the series
@@ -239,14 +238,12 @@ def levenberg_marquardt(residual_fn, jacobian_fn, p0, max_iterations=MAX_ITERATI
     multiplies the scaled diagonal of J^T J; rejected steps raise it and
     accepted steps lower it, so each row's history of accepted residual
     norms is non-increasing.  A row stops, and is frozen, when its relative
-    cost change falls below rtol, its gradient below GRADIENT_TOL, or no
-    damping gives descent.
+    cost change falls below CONVERGENCE_RTOL, its gradient below GRADIENT_TOL,
+    or no damping gives descent, within MAX_ITERATIONS iterations.
 
     Returns one entry per row: (p, cov, iterations, converged, degenerate,
     history), or the FitError that stopped that row alone.
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
     p = np.array(p0, dtype=float, ndmin=2)
     k, q = p.shape
     idx = np.arange(k)  # series numbers of the running rows
@@ -262,7 +259,7 @@ def levenberg_marquardt(residual_fn, jacobian_fn, p0, max_iterations=MAX_ITERATI
         if not kept:
             outcome[i] = FitError("residual is not finite at the initial guess")
     eye = np.eye(q)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         if not all(keep):  # drop the rows that finished or failed
             idx, p, r = idx[keep], p[keep], r[keep]
             cost = [c for c, kept in zip(cost, keep) if kept]
@@ -310,7 +307,7 @@ def levenberg_marquardt(residual_fn, jacobian_fn, p0, max_iterations=MAX_ITERATI
                     continue
                 c = cost_trial[t]
                 if c <= cost[j]:
-                    converged[j] = (cost[j] - c) / max(cost[j], 1e-300) < rtol
+                    converged[j] = (cost[j] - c) / max(cost[j], 1e-300) < CONVERGENCE_RTOL
                     cost[j] = c
                     history[idx[j]].append(math.sqrt(c))
                     mu[j] = max(mu[j] / 3.0, 1e-12)
@@ -332,7 +329,7 @@ def levenberg_marquardt(residual_fn, jacobian_fn, p0, max_iterations=MAX_ITERATI
                 keep[j] = False
     else:
         for j in np.flatnonzero(keep):  # out of iterations
-            final[idx[j]] = (p[j], cost[j], jtj[j], max_iterations, False)
+            final[idx[j]] = (p[j], cost[j], jtj[j], MAX_ITERATIONS, False)
     solved = [i for i in range(k) if outcome[i] is None]
     if not solved:
         return outcome
@@ -347,8 +344,7 @@ def levenberg_marquardt(residual_fn, jacobian_fn, p0, max_iterations=MAX_ITERATI
     return outcome
 
 
-def fit_nlls_rows(model: str, x, Y, p0=None, max_iterations=MAX_ITERATIONS,
-                  rtol=CONVERGENCE_RTOL) -> list:
+def fit_nlls_rows(model: str, x, Y, p0=None) -> list:
     """Fit each row of Y against the shared grid x in one row-batched solve.
 
     p0 is one start for every row (a dict or a q-vector), a (k, q) stack of
@@ -382,7 +378,7 @@ def fit_nlls_rows(model: str, x, Y, p0=None, max_iterations=MAX_ITERATIONS,
     Y = Y[rows]
     if rows:
         fitted = levenberg_marquardt(lambda P, sub: Y[sub] - fn(x, P), lambda P: -jac_fn(x, P),
-                                     starts, max_iterations=max_iterations, rtol=rtol)
+                                     starts)
         for i, entry in zip(rows, fitted):
             results[i] = entry if isinstance(entry, FitError) else _fit_result(names, *entry)
     if _log.isEnabledFor(logging.DEBUG):
@@ -407,14 +403,13 @@ def _fit_result(names, params, cov, iterations, converged, degenerate, history):
     )
 
 
-def fit_nlls(model: str, x, y, p0=None, max_iterations=MAX_ITERATIONS,
-             rtol=CONVERGENCE_RTOL) -> FitResult:
+def fit_nlls(model: str, x, y, p0=None) -> FitResult:
     """Fit one of the named models to one series (one row of fit_nlls_rows)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be one-dimensional and the same length")
-    (result,) = fit_nlls_rows(model, x, y[None], p0, max_iterations, rtol)
+    (result,) = fit_nlls_rows(model, x, y[None], p0)
     if isinstance(result, FitError):
         raise result
     return result

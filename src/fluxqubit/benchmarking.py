@@ -21,6 +21,8 @@ with over-rotation and axis error, then depolarizing, then amplitude
 damping; the pulse backend's is an ideal rotation, then fixed-duration T1
 damping and dephasing.  Depolarizing-only noise takes a closed-form
 survival shortcut instead (see ChannelBackend.supports_survival_shortcut).
+Both paths give the true P_g, and qcore.read_out applies the visibility and
+the shots.
 
 The temporal-stability run refits a moving window of iterations around each
 iteration.  All windows are fitted in one row-batched `fit_nlls_rows` call,
@@ -49,9 +51,11 @@ from .cliffords import (
     enumerate_cliffords,
     recovery_gate,
 )
-from .qcore import bloch_rotation, ptm_from_unitary, ptm_product, relaxation_ptm
+from .qcore import (bloch_rotation, check_coherence_times, ptm_from_unitary, ptm_product,
+                    read_out, relaxation_factors, relaxation_ptm)
 
 _GATES = enumerate_cliffords()
+SECONDS_PER_ITERATION = 30.0  # stability-run time stamps: one iteration every 30 s
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ class _PTMBackend:
         rows = [distinct.setdefault(pulse, len(distinct)) for pulse in pulses]
         table = np.array([self.pulse_ptm(*pulse) for pulse in distinct]).reshape(-1, 4, 4)
         r = ptm_product(table[rows]) @ (1.0, 0.0, 0.0, 1.0)  # Pauli vector of |g>
-        return _read_out(0.5 + self.visibility * (0.5 * (r[0] + r[3]) - 0.5), shots, rng)
+        return read_out(0.5 * (r[0] + r[3]), self.visibility, shots, rng)
 
 
 class ChannelBackend(_PTMBackend):
@@ -176,8 +180,8 @@ class ChannelBackend(_PTMBackend):
         return self.noise.is_depolarizing_only
 
     def survival_probability(self, pulse_count: int) -> float:
-        polarization = (1.0 - self.noise.depolarizing_prob) ** pulse_count
-        return 0.5 + self.visibility * 0.5 * polarization
+        """True P_g after pulse_count pulses (the shortcut; read out by the caller)."""
+        return 0.5 + 0.5 * (1.0 - self.noise.depolarizing_prob) ** pulse_count
 
     def pulse_ptm(self, amount: float, axis_angle: float) -> np.ndarray:
         noise = self.noise
@@ -192,16 +196,11 @@ class PulseBackend(_PTMBackend):
     def __init__(self, t1_us: float = math.inf, t2_us: float = math.inf,
                  gate_time_ns: float = 20.0, visibility: float = 1.0):
         super().__init__(visibility)
-        if not (t1_us > 0.0 and t2_us > 0.0):
-            raise ValueError("t1 and t2 must be positive (inf allowed)")
         if not (0.0 < gate_time_ns < math.inf):
             raise ValueError("gate_time_ns must be positive and finite")
-        if t2_us > 2 * t1_us + 1e-9:
-            raise ValueError("t2 cannot exceed 2 * t1")
+        check_coherence_times(t1_us, t2_us)
         self.t1_ns, self.t2_ns, self.gate_time_ns = t1_us * 1e3, t2_us * 1e3, gate_time_ns
-        self._gamma = 1.0 - math.exp(-gate_time_ns / self.t1_ns)
-        rate = 1.0 / self.t2_ns - 0.5 / self.t1_ns  # pure dephasing, 1/ns
-        self._dephasing = math.exp(-gate_time_ns * max(rate, 0.0))
+        self._gamma, self._dephasing = relaxation_factors(gate_time_ns, t1_us, t2_us)
 
     def pulse_ptm(self, amount: float, axis_angle: float) -> np.ndarray:
         return _pulse_ptm(amount, axis_angle, 0.0, self._gamma, self._dephasing)
@@ -235,42 +234,30 @@ def _sequence_rng(seed: int, kind: str, length_index: int, sequence_index: int):
     )
 
 
-def _read_out(p_obs: float, shots: Optional[int], rng) -> float:
-    """p_obs itself (shots=None) or its binomial estimate from `shots` shots."""
-    if shots is None:
-        return p_obs
-    return rng.binomial(int(shots), min(max(p_obs, 0.0), 1.0)) / int(shots)
-
-
 def _measure(backend, pulses, shots, rng, where: str, shortcut: bool = True) -> float:
     """P_g of one compiled string: the survival shortcut when allowed and the
     backend offers it, else backend.run; failures name `where`."""
     try:
         if shortcut and backend.supports_survival_shortcut:
-            return _read_out(backend.survival_probability(len(pulses)), shots, rng)
+            return read_out(backend.survival_probability(len(pulses)), backend.visibility,
+                            shots, rng)
         return backend.run(pulses, shots, rng)
     except Exception as exc:
         raise wrap_error(exc, f"backend failed at {where}: {exc}") from exc
 
 
-def run_rb(backend, config: RBConfig, *, keep_sequences: bool = False,
-           seconds_per_sequence: float = 0.0):
-    """Standard RB: returns a DecayRecord of P_g (and sequences if asked)."""
+def run_rb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0) -> DecayRecord:
+    """Standard RB: a DecayRecord of P_g per length and sequence."""
     values = [[] for _ in config.lengths]
     stamps = [[] for _ in config.lengths]
-    sequences = []
     for i_m, m in enumerate(config.lengths):
         for j in range(config.sequences_per_length):
             rng = _sequence_rng(config.seed, "rb", i_m, j)
-            gates, recovery = draw_sequence(m, rng)
-            compiled = compile_sequence(gates, recovery, rng)
+            compiled = compile_sequence(*draw_sequence(m, rng), rng)
             values[i_m].append(float(_measure(backend, compiled.pulses, config.shots, rng,
                                               f"length {m}, sequence {j}")))
             stamps[i_m].append((i_m * config.sequences_per_length + j) * seconds_per_sequence)
-            if keep_sequences:
-                sequences.append((gates, recovery))
-    record = DecayRecord(config.lengths, values, stamps, kind="rb")
-    return (record, sequences) if keep_sequences else record
+    return DecayRecord(config.lengths, values, stamps, kind="rb")
 
 
 _ANALYSIS_STEPS = (  # readout label, analysis rotation appended before measuring z
@@ -414,15 +401,16 @@ class StabilitySeries:
     fits: tuple = ()         # the FitResult of each iteration's window
 
 
-def temporal_stability(backend, config: RBConfig, iterations: int, window: int,
-                       *, seconds_per_iteration: float = 30.0) -> StabilitySeries:
+def temporal_stability(backend, config: RBConfig, iterations: int,
+                       window: int) -> StabilitySeries:
     """Repeated single-sequence RB with a moving-window refit per iteration.
 
     Each iteration measures one random sequence per length; the fidelity at
     iteration j comes from refitting the window of `window` iterations
     centered on j (truncated symmetrically at the edges).  All windows are
     fitted in one row-batched solve, each started from the fit of the mean
-    over all iterations.
+    over all iterations.  Windows whose fit did not converge (typically a
+    few shot-noisy edge windows) keep their F, and one warning names them.
     """
     if not (is_count(window) and window >= 1 and window % 2 == 1):
         raise ValueError(f"window must be an odd integer of at least 1, got {window!r}")
@@ -446,7 +434,11 @@ def temporal_stability(backend, config: RBConfig, iterations: int, window: int,
     for j, fit in enumerate(fits):
         if isinstance(fit, FitError):
             raise FitError(f"stability window {j}: {fit}") from fit
+    unconverged = [j for j, fit in enumerate(fits) if not fit.converged]
+    if unconverged:
+        warnings.warn(f"the fits of stability windows {unconverged} did not converge; "
+                      f"their F values are kept in the series", stacklevel=2)
     fidelities = np.array([average_fidelity_from_p(fit["p"]) for fit in fits])
-    times = np.arange(iterations) * seconds_per_iteration
+    times = np.arange(iterations) * SECONDS_PER_ITERATION
     return StabilitySeries(times=times, average_fidelity=fidelities, window=window,
                            fits=tuple(fits))

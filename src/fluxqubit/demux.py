@@ -91,6 +91,7 @@ _BASIS_GATES = {
 }
 
 DELAY_SEARCH_HORIZON_PERIODS = 10
+MIN_RABI_CONTRAST = 0.2  # a chevron column below this shows no resonance
 
 
 @dataclass(frozen=True)
@@ -149,14 +150,10 @@ def nominal_calibration(p: DeviceParams, drive_amplitude: float) -> Calibration:
 
 def calibrate_amplitude(p: DeviceParams, *, delta_i_grid, t_grid,
                         drive_amplitude: float, rise_time: float = 0.0,
-                        dt: float = 0.05, min_contrast: float = 0.2,
-                        refinements: int = 2) -> float:
+                        dt: float = 0.05, refinements: int = 2) -> float:
     """Step 1: flux-pulse amplitude maximizing the Rabi oscillation contrast."""
-    delta_i_grid = np.asarray(delta_i_grid, dtype=float)
+    grid = np.asarray(delta_i_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
-    best_di = None
-    best_contrast = 0.0
-    grid = delta_i_grid
     for stage in range(refinements + 1):
         scan = rabi_chevron(
             p, grid, t_grid, drive_amplitude=drive_amplitude,
@@ -168,9 +165,9 @@ def calibrate_amplitude(p: DeviceParams, *, delta_i_grid, t_grid,
             for fit in fit_nlls_rows("cosine_fringe", t_grid, scan.T)
         ])
         peak = int(np.argmax(contrasts))
-        if stage == 0 and contrasts[peak] < min_contrast:
+        if stage == 0 and contrasts[peak] < MIN_RABI_CONTRAST:
             raise CalibrationError(
-                f"no Rabi contrast above {min_contrast} in the scanned range"
+                f"no Rabi contrast above {MIN_RABI_CONTRAST} in the scanned range"
             )
         best_di, best_contrast = float(grid[peak]), float(contrasts[peak])
         if stage < refinements:
@@ -183,7 +180,7 @@ def calibrate_amplitude(p: DeviceParams, *, delta_i_grid, t_grid,
         if curvature < -1e-12:
             step = grid[peak] - grid[peak - 1]
             best_di = float(grid[peak] + 0.5 * step * (y0 - y2) / curvature)
-    if best_contrast < min_contrast:
+    if best_contrast < MIN_RABI_CONTRAST:
         raise CalibrationError("refined scan lost the resonance feature")
     return best_di
 
@@ -299,7 +296,7 @@ def _solve_gap(chi_target: float, cal: Calibration, resolution: float) -> float:
 
 
 def compile_gate(gate, cal: Calibration, *, resolution: float = 0.002,
-                 rise_time: float = 0.0, start: float = 0.0) -> DemuxSequence:
+                 rise_time: float = 0.0) -> DemuxSequence:
     """Compile a named gate, ("XY", amount, axis), or ("Z", theta).
 
     Pulse flat-top durations are amount / pi times the calibrated pi time;
@@ -312,7 +309,7 @@ def compile_gate(gate, cal: Calibration, *, resolution: float = 0.002,
     pulses = []
     axis_angles = []
     amounts = []
-    cursor = start
+    cursor = 0.0
     accumulated_chi = 0.0
     for k, (amount, axis) in enumerate(plan):
         # gap phase so that this pulse's axis angle equals `axis`

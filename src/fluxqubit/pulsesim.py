@@ -18,7 +18,9 @@ midpoint, then amplitude damping at 1/T1(f) and dephasing at 1/T2 - 1/(2 T1).
 A ramp is the product of its ceil(duration / dt) steps; a constant segment
 is one exact step, or with T1/T2 the n-th matrix power of its step map.  The
 step size only sets the accuracy of ramps and T1/T2 and the sampling of time
-series.
+series.  The chevron and Ramsey scans take one composed path: the cached
+maps of each column's fixed segments around its swept segment, built for
+every duration at once.  Every measured P_e goes through qcore.read_out.
 
 Units: times in ns, frequencies in GHz, currents in uA, T1/T2 in us.
 """
@@ -32,15 +34,18 @@ from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError, check_shots
+from . import ConsistencyError
 from .qcore import (
     IDENTITY,
     SIGMA_X,
     SIGMA_Z,
+    check_coherence_times,
     density_from_pauli_vector,
     excited_population,
     pauli_vector,
     ptm_from_unitary,
+    read_out,
+    relaxation_factors,
     relaxation_ptm,
     validate_density_matrix,
 )
@@ -50,6 +55,7 @@ EXCITED_STATE = np.array([[0, 0], [0, 1]], dtype=complex)
 
 DT_SAFETY_FACTOR = 0.05  # dt <= 0.05 / max(|detuning|, Omega_R)
 TRACE_TOL_PER_US = 1e-9
+ON_OFF_MIN_ROWS = 10  # on_off_stats averages the five highest and five lowest rows
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,14 @@ class TlsDip:
     center_ghz: float
     width_mhz: float
     t1_dip_us: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.center_ghz):
+            raise ValueError("center_ghz must be finite")
+        if not (0.0 < self.width_mhz < math.inf):
+            raise ValueError("width_mhz must be positive and finite")
+        if not self.t1_dip_us > 0.0:
+            raise ValueError("t1_dip_us must be positive (inf allowed)")
 
 
 @dataclass(frozen=True)
@@ -81,15 +95,14 @@ class DeviceParams:
         object.__setattr__(self, "tls_dips", tuple(self.tls_dips))  # hashable memo key
         if any(isinstance(v, float) and math.isnan(v) for v in vars(self).values()):
             raise ValueError("device parameters must not be NaN")
-        for name in ("f_max", "i_period", "f_cw", "t1", "t2"):
+        for name in ("f_max", "i_period", "f_cw"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.rabi_per_volt < 0:
             raise ValueError("rabi_per_volt must be non-negative")
         if not (0.0 < self.visibility <= 1.0):
             raise ValueError("visibility must be in (0, 1]")
-        if self.t2 > 2 * self.t1 + 1e-9:
-            raise ValueError("t2 cannot exceed 2 * t1")
+        check_coherence_times(self.t1, self.t2)
 
     @property
     def idle_frequency(self) -> float:
@@ -244,9 +257,7 @@ def _step_unitary(delta, omega, tau) -> np.ndarray:
 
 def _decoherence_ptm(p: DeviceParams, f_mid: np.ndarray, tau: float) -> np.ndarray:
     """Amplitude damping with T1(f) then pure dephasing over tau ns, per f_mid."""
-    gamma = 1.0 - np.exp(-tau / (t1_at_frequency(p, f_mid) * 1e3))
-    dephasing_rate = 1.0 / (p.t2 * 1e3) - 0.5 / (p.t1 * 1e3)  # 1/T_phi in 1/ns
-    return relaxation_ptm(gamma, math.exp(-tau * max(dephasing_rate, 0.0)))
+    return relaxation_ptm(*relaxation_factors(tau, p.t1, p.t2, t1_at_frequency(p, f_mid)))
 
 
 def _has_decoherence(p: DeviceParams) -> bool:
@@ -296,8 +307,7 @@ def segment_propagator(p: DeviceParams, seg: Segment, dt: float, drive_amplitude
     return _prefix_products(_segment_steps(p, seg, n, drive_amplitude)[0])[-1]
 
 
-@functools.lru_cache(maxsize=1024)  # a QPT set has ~150 distinct segments
-def segment_channel(p: DeviceParams, seg: Segment, dt: float, drive_amplitude: float):
+def _segment_map(p: DeviceParams, seg: Segment, dt: float, drive_amplitude: float):
     """Read-only PTM of one segment and its fastest rate in GHz (see module doc)."""
     ramp = seg.di_start != seg.di_end
     n = _step_count(seg, dt) if ramp or _has_decoherence(p) else 1
@@ -307,9 +317,27 @@ def segment_channel(p: DeviceParams, seg: Segment, dt: float, drive_amplitude: f
     return ptm, float(fastest)
 
 
+# The memoised segment map; a QPT set has ~150 distinct segments.
+segment_channel = functools.lru_cache(maxsize=1024)(_segment_map)
+
+
+def _check_dt(dt: float, fastest: float) -> None:
+    """Reject a step coarser than DT_SAFETY_FACTOR / fastest rate (GHz)."""
+    if fastest > 0 and dt > DT_SAFETY_FACTOR / fastest:
+        raise ValueError(
+            f"dt = {dt} ns is too coarse: need dt <= "
+            f"{DT_SAFETY_FACTOR / fastest:.4g} ns to resolve {fastest:.4g} GHz"
+        )
+
+
+def _check_trace(trace_error: float, duration_ns: float) -> None:
+    """Raise ConsistencyError when a state's trace drifted past tolerance (or is NaN)."""
+    if not trace_error <= TRACE_TOL_PER_US * max(1.0, duration_ns / 1e3):
+        raise ConsistencyError(f"state trace drifted by {trace_error:.3e}")
+
+
 def run_segments(p: DeviceParams, segments, dt: float, rho0: np.ndarray,
-                 drive_amplitude: float, collect_series: bool = True,
-                 check_dt: bool = True) -> SimResult:
+                 drive_amplitude: float, collect_series: bool = True) -> SimResult:
     """Propagate rho0 through a segment list; the engine behind evolve().
 
     Without a series each segment applies its segment_channel.  With one,
@@ -333,14 +361,8 @@ def run_segments(p: DeviceParams, segments, dt: float, rho0: np.ndarray,
             r = ptm @ r
         fastest = max(fastest, rate)
         t += seg.duration
-    if check_dt and fastest > 0 and dt > DT_SAFETY_FACTOR / fastest:
-        raise ValueError(
-            f"dt = {dt} ns is too coarse: need dt <= "
-            f"{DT_SAFETY_FACTOR / fastest:.4g} ns to resolve {fastest:.4g} GHz"
-        )
-    trace_error = abs(r[0] - 1.0)
-    if trace_error > TRACE_TOL_PER_US * max(1.0, t / 1e3):
-        raise ConsistencyError(f"state trace drifted by {trace_error:.3e}")
+    _check_dt(dt, fastest)
+    _check_trace(abs(r[0] - 1.0), t)
     vectors = np.concatenate(vectors) if collect_series else r[None, :]
     times = np.concatenate(times) if collect_series else np.array([t])
     pe = np.clip(0.5 * (vectors[:, 0] - vectors[:, 3]), 0.0, 1.0)
@@ -351,37 +373,18 @@ def evolve(p: DeviceParams, s: PulseSchedule, dt: float, rho0: np.ndarray) -> Si
     """Simulate a schedule from rho0, sampling P_e roughly every dt ns."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return run_segments(
-        p, segments_from_schedule(p, s), dt, rho0, s.drive_amplitude,
-        collect_series=True,
-    )
+    return run_segments(p, segments_from_schedule(p, s), dt, rho0, s.drive_amplitude)
 
 
 # ---------------------------------------------------------------------------
-# Readout
+# Readout and experiments
 # ---------------------------------------------------------------------------
-
-def observed_probability(p: DeviceParams, pe: float) -> float:
-    """Visibility-compressed probability 1/2 + visibility * (P_e - 1/2)."""
-    return 0.5 + p.visibility * (pe - 0.5)
-
 
 def measure(rho: np.ndarray, p: DeviceParams, shots: Optional[int] = None,
             rng: Optional[np.random.Generator] = None) -> float:
-    """Estimate P_e with finite binomial sampling; shots=None is exact."""
-    pe = min(max(excited_population(rho), 0.0), 1.0)
-    p_obs = observed_probability(p, pe)
-    if shots is None:
-        return p_obs
-    check_shots(shots)
-    if rng is None:
-        raise ValueError("finite-shot measurement needs a random generator")
-    return rng.binomial(int(shots), p_obs) / int(shots)
+    """P_e of rho through qcore.read_out with the device visibility."""
+    return read_out(excited_population(rho), p.visibility, shots, rng)
 
-
-# ---------------------------------------------------------------------------
-# Experiments
-# ---------------------------------------------------------------------------
 
 def single_pulse_schedule(delta_i: float, duration: float, rise_time: float,
                           drive_amplitude: float) -> PulseSchedule:
@@ -392,63 +395,55 @@ def single_pulse_schedule(delta_i: float, duration: float, rise_time: float,
     )
 
 
+def _scan(p: DeviceParams, columns, durations, *, drive_amplitude: float, dt: float,
+          shots: Optional[int], seed: int) -> np.ndarray:
+    """Read-out P_e map from |g>; rows index `durations`, one column per entry.
+
+    A column (before, delta_i, drive, after) runs the fixed segments `before`
+    (cached segment_channel maps), a constant segment at delta_i with the
+    drive flag `drive` for every duration at once, then `after`.  That
+    segment is the closed-form step, or with T1/T2 each duration's uncached
+    step-map power, so one-off maps stay out of the cache.  Cells share one
+    dt check (the idle detuning and every rate) and the engine's trace check.
+    """
+    durations = np.asarray(durations, dtype=float)
+    if durations.size == 0 or not columns:
+        raise ValueError("scan grids must be non-empty")
+    if np.any(durations < 0):
+        raise ValueError("scan durations must be non-negative")
+    omega = p.rabi_frequency(drive_amplitude)
+    fastest = abs(p.idle_frequency - p.f_cw)
+    pe = np.empty((durations.size, len(columns)))
+    for j, (before, delta_i, drive, after) in enumerate(columns):
+        fixed_ns = sum(seg.duration for seg in before + after)
+        before, after = ([segment_channel(p, seg, dt, drive_amplitude)
+                          for seg in part if seg.duration > 1e-15] for part in (before, after))
+        delta = freq_from_current(p, p.i_idle + delta_i) - p.f_cw
+        fastest = max(fastest, abs(delta), omega if drive else 0.0,
+                      *(rate for _, rate in before + after))
+        if _has_decoherence(p):
+            swept = np.array([_segment_map(p, Segment(t, delta_i, delta_i, drive), dt,
+                                           drive_amplitude)[0] for t in durations])
+        else:
+            swept = ptm_from_unitary(_step_unitary(delta, omega if drive else 0.0, durations))
+        r = pauli_vector(GROUND_STATE)
+        for ptm in [ptm for ptm, _ in before] + [swept] + [ptm for ptm, _ in after]:
+            r = (ptm @ r[..., None])[..., 0]  # map by map, as run_segments applies them
+        # each column's worst cell against its shortest cell's (tightest) tolerance
+        _check_trace(np.max(np.abs(r[:, 0] - 1.0)), fixed_ns + durations.min())
+        pe[:, j] = 0.5 * (r[:, 0] - r[:, 3])
+    _check_dt(dt, fastest)
+    return read_out(pe, p.visibility, shots, np.random.default_rng(seed))
+
+
 def rabi_chevron(p: DeviceParams, delta_i_grid, t_grid, *, drive_amplitude: float,
                  rise_time: float = 0.0, dt: float = 0.05,
                  shots: Optional[int] = None, seed: int = 0) -> np.ndarray:
-    """P_e map over flux-pulse amplitude (columns) and duration (rows).
-
-    Without decoherence, each column reuses the cached rise and fall segment
-    maps and a closed-form flat-top exponential for all durations at once.
-    """
-    delta_i_grid = np.asarray(delta_i_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if delta_i_grid.size == 0 or t_grid.size == 0:
-        raise ValueError("scan grids must be non-empty")
-    out = np.empty((t_grid.size, delta_i_grid.size))
-    decohere = _has_decoherence(p)
-    omega = p.rabi_frequency(drive_amplitude)
-    for di in delta_i_grid:
-        _check_chevron_dt(p, di, omega, dt)
-    for j, di in enumerate(delta_i_grid):
-        if decohere:
-            for i, duration in enumerate(t_grid):
-                schedule = single_pulse_schedule(di, duration, rise_time, drive_amplitude)
-                res = run_segments(
-                    p, segments_from_schedule(p, schedule), dt,
-                    GROUND_STATE, drive_amplitude, collect_series=False,
-                )
-                out[i, j] = res.pe[-1]
-        else:
-            rise, _ = segment_channel(p, Segment(rise_time, 0.0, di, True), dt, drive_amplitude)
-            fall, _ = segment_channel(p, Segment(rise_time, di, 0.0, True), dt, drive_amplitude)
-            delta_flat = freq_from_current(p, p.i_idle + di) - p.f_cw
-            flat = ptm_from_unitary(_step_unitary(delta_flat, omega, t_grid))
-            final = fall @ flat @ rise @ pauli_vector(GROUND_STATE)
-            out[:, j] = 0.5 * (final[:, 0] - final[:, 3])
-    if shots is not None:
-        out = _sample_map(p, out, shots, seed)
-    else:
-        out = observed_probability(p, out)
-    return out
-
-
-def _check_chevron_dt(p: DeviceParams, di: float, omega: float, dt: float):
-    delta = abs(freq_from_current(p, p.i_idle + di) - p.f_cw)
-    delta_idle = abs(p.idle_frequency - p.f_cw)
-    fastest = max(delta, delta_idle, omega)
-    if fastest > 0 and dt > DT_SAFETY_FACTOR / fastest:
-        raise ValueError(
-            f"dt = {dt} ns too coarse for detuning/Rabi of {fastest:.4g} GHz"
-        )
-
-
-def _sample_map(p: DeviceParams, pe_map: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    check_shots(shots)
-    out = np.empty_like(pe_map)
-    for idx in np.ndindex(pe_map.shape):
-        rng = np.random.default_rng((seed, *idx))
-        out[idx] = rng.binomial(shots, observed_probability(p, pe_map[idx])) / shots
-    return out
+    """P_e map over flux-pulse amplitude (columns) and flat-top duration (rows)."""
+    columns = [([Segment(rise_time, 0.0, di, True)], di, True, [Segment(rise_time, di, 0.0, True)])
+               for di in np.asarray(delta_i_grid, dtype=float)]
+    return _scan(p, columns, t_grid, drive_amplitude=drive_amplitude, dt=dt,
+                 shots=shots, seed=seed)
 
 
 def ramsey_axis_scan(p: DeviceParams, delta_i_mid_grid, delta_t_mid_grid, *,
@@ -462,35 +457,11 @@ def ramsey_axis_scan(p: DeviceParams, delta_i_mid_grid, delta_t_mid_grid, *,
     delta_t_mid is 1 / (f_cw - idle frequency).  Rows index delta_t_mid,
     columns delta_i_mid.
     """
-    delta_i_mid_grid = np.asarray(delta_i_mid_grid, dtype=float)
-    delta_t_mid_grid = np.asarray(delta_t_mid_grid, dtype=float)
-    if delta_i_mid_grid.size == 0 or delta_t_mid_grid.size == 0:
-        raise ValueError("scan grids must be non-empty")
-    out = np.empty((delta_t_mid_grid.size, delta_i_mid_grid.size))
-    for j, di_mid in enumerate(delta_i_mid_grid):
-        for i, t_mid in enumerate(delta_t_mid_grid):
-            segments = ramsey_segments(
-                delta_i_res=delta_i_res, t_half=t_half, di_mid=di_mid,
-                t_mid=t_mid, rise_time=rise_time,
-            )
-            res = run_segments(
-                p, segments, dt, GROUND_STATE, drive_amplitude,
-                collect_series=False,
-            )
-            out[i, j] = res.pe[-1]
-    if shots is not None:
-        out = _sample_map(p, out, shots, seed)
-    else:
-        out = observed_probability(p, out)
-    return out
-
-
-def ramsey_segments(*, delta_i_res: float, t_half: float, di_mid: float,
-                    t_mid: float, rise_time: float = 0.0):
-    """Segment list for a half-pulse / free middle step / half-pulse sequence."""
     half_pulse = pulse_segments(delta_i_res, t_half, rise_time, True)
-    middle = [Segment(t_mid, di_mid, di_mid, False)] if t_mid > 0 else []
-    return half_pulse + middle + half_pulse
+    columns = [(half_pulse, di_mid, False, half_pulse)
+               for di_mid in np.asarray(delta_i_mid_grid, dtype=float)]
+    return _scan(p, columns, delta_t_mid_grid, drive_amplitude=drive_amplitude, dt=dt,
+                 shots=shots, seed=seed)
 
 
 def swap_spectroscopy(p: DeviceParams, prepared: str, f_grid, t_grid, *,
@@ -514,10 +485,10 @@ def swap_spectroscopy(p: DeviceParams, prepared: str, f_grid, t_grid, *,
     with np.errstate(over="ignore"):
         decay = np.exp(-np.outer(t_grid, 1.0 / t1_ns))
     pe = decay if prepared == "e" else np.zeros((t_grid.size, f_grid.size))
-    return observed_probability(p, pe) if apply_visibility else pe
+    return read_out(pe, p.visibility) if apply_visibility else pe
 
 
-def on_off_stats(maps, *, min_rows: int = 10):
+def on_off_stats(maps):
     """Per-column contrast <Delta P_e>_5 and the on-off ratio of a scan set.
 
     `maps` is one P_e map (rows = durations) or a sequence of maps, one per
@@ -531,8 +502,8 @@ def on_off_stats(maps, *, min_rows: int = 10):
         maps = maps[None, :, :]
     if maps.ndim != 3:
         raise ValueError("expected one 2-d map or a sequence of 2-d maps")
-    if maps.shape[1] < min_rows:
-        raise ValueError(f"each column needs at least {min_rows} rows")
+    if maps.shape[1] < ON_OFF_MIN_ROWS:
+        raise ValueError(f"each column needs at least {ON_OFF_MIN_ROWS} rows")
     ordered = np.sort(maps, axis=1)
     dp5 = ordered[:, -5:, :].mean(axis=1) - ordered[:, :5, :].mean(axis=1)
     floor = np.finfo(float).eps

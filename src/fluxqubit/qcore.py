@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from . import InvalidChannelError
+from . import InvalidChannelError, check_shots
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -142,6 +142,23 @@ def purity(rho: np.ndarray) -> float:
 def excited_population(rho: np.ndarray) -> float:
     """P_e, the population of the excited state |e> = (0, 1)."""
     return float(np.asarray(rho)[1, 1].real)
+
+
+def read_out(probability, visibility: float = 1.0, shots=None, rng=None):
+    """Measured value of a true probability (a float or an array): clipped to
+    [0, 1], compressed to 1/2 + visibility (p - 1/2), and with `shots` the
+    binomial estimate from that many shots drawn from `rng`."""
+    if isinstance(probability, float):  # min/max is ten times cheaper than np.clip here
+        p = min(max(probability, 0.0), 1.0)
+    else:
+        p = np.clip(probability, 0.0, 1.0)
+    p = 0.5 + visibility * (p - 0.5)
+    if shots is None:
+        return p
+    check_shots(shots)
+    if rng is None:
+        raise ValueError("finite-shot measurement needs a random generator")
+    return rng.binomial(shots, p) / shots
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +293,24 @@ def relaxation_ptm(gamma, decay: float = 1.0) -> np.ndarray:
         ptm = ptm_from_kraus([math.sqrt(0.5 * (1.0 + decay)) * IDENTITY,
                               math.sqrt(0.5 * (1.0 - decay)) * SIGMA_Z]) @ ptm
     return ptm
+
+
+def check_coherence_times(t1, t2) -> None:
+    """Raise ValueError unless T1 and T2 are positive (inf allowed) and T2 <= 2 T1."""
+    if not (t1 > 0.0 and t2 > 0.0):
+        raise ValueError("t1 and t2 must be positive (inf allowed)")
+    if t2 > 2 * t1 + 1e-9:
+        raise ValueError("t2 cannot exceed 2 * t1")
+
+
+def relaxation_factors(tau_ns, t1_us, t2_us, damping_t1_us=None):
+    """relaxation_ptm's (gamma, decay) over tau ns: 1 - exp(-tau / T1) and
+    exp(-tau / T_phi), 1/T_phi = 1/T2 - 1/(2 T1) floored at 0; damping_t1_us
+    (scalar or array) replaces T1 in gamma only, for a T1(f) with dips."""
+    damping_t1_us = t1_us if damping_t1_us is None else damping_t1_us
+    gamma = 1.0 - np.exp(-tau_ns / (damping_t1_us * 1e3))
+    dephasing_rate = 1.0 / (t2_us * 1e3) - 0.5 / (t1_us * 1e3)  # 1/T_phi in 1/ns
+    return gamma, math.exp(-tau_ns * max(dephasing_rate, 0.0))
 
 
 def ptm_product(maps) -> np.ndarray:

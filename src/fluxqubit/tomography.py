@@ -36,6 +36,7 @@ from .qcore import (
     density_from_bloch,
     partial_trace_output,
     pauli_vector,
+    read_out,
     validate_choi,
 )
 
@@ -51,9 +52,7 @@ _LABEL_VECTORS = {
 }
 
 PREP_STATES = tuple(density_from_bloch(_LABEL_VECTORS[label]) for label in AXIS_LABELS)
-BASIS_PROJECTORS = tuple(
-    density_from_bloch(_LABEL_VECTORS[label]) for label in AXIS_LABELS
-)  # (I + sign * sigma_axis) / 2 is itself an axial state
+BASIS_PROJECTORS = PREP_STATES  # (I + sign * sigma_axis) / 2 is itself an axial state
 
 # Born-rule coefficient matrices: probability = Re tr(_COEFFS[k] @ C)
 _COEFFS = np.stack(
@@ -157,14 +156,8 @@ def unitary_executor(u: np.ndarray, visibility: float = 1.0):
 
     def executor(prep_label, basis_label, shots, rng):
         rho = u @ PREP_STATES[AXIS_LABELS.index(prep_label)] @ dagger(u)
-        prob = float(
-            np.trace(rho @ BASIS_PROJECTORS[AXIS_LABELS.index(basis_label)]).real
-        )
-        prob = 0.5 + visibility * (prob - 0.5)
-        check_shots(shots)
-        if shots is None:
-            return prob
-        return rng.binomial(shots, min(max(prob, 0.0), 1.0)) / shots
+        prob = float(np.trace(rho @ BASIS_PROJECTORS[AXIS_LABELS.index(basis_label)]).real)
+        return read_out(prob, visibility, shots, rng)
 
     return executor
 

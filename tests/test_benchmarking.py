@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from fluxqubit import analysis as an
 from fluxqubit import benchmarking as rb
 from fluxqubit import cliffords as cl
+from fluxqubit import pulsesim as ps
 from fluxqubit.qcore import bloch_rotation, phase_aligned_distance
 
 
@@ -510,3 +512,58 @@ def test_temporal_stability_rejects_bad_counts(iterations, window):
     config = rb.RBConfig(lengths=(1, 5, 25), sequences_per_length=1)
     with pytest.raises(ValueError):
         rb.temporal_stability(backend, config, iterations=iterations, window=window)
+
+
+def _stability_setup(shots):
+    backend = rb.ChannelBackend(rb.GateNoiseModel(depolarizing_prob=2e-3), visibility=0.9)
+    config = rb.RBConfig(lengths=rb.log_spaced_lengths(1, 600, 8), sequences_per_length=1,
+                         shots=shots, seed=41)
+    return backend, config
+
+
+def test_unconverged_stability_windows_are_named_in_one_warning():
+    backend, config = _stability_setup(200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series = rb.temporal_stability(backend, config, iterations=60, window=11)
+    unconverged = [j for j, fit in enumerate(series.fits) if not fit.converged]
+    assert len(unconverged) == 3  # shot-noisy edge windows of this seed
+    assert [str(w.message) for w in caught] == [
+        f"the fits of stability windows {unconverged} did not converge; "
+        f"their F values are kept in the series"]
+    assert caught[0].category is UserWarning and caught[0].filename == __file__
+    # the answers are unchanged: every window, converged or not, reports its fit's F
+    assert series.average_fidelity.tolist() == [
+        rb.average_fidelity_from_p(fit["p"]) for fit in series.fits]
+
+
+def test_converged_stability_windows_raise_no_warning():
+    backend, config = _stability_setup(None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = rb.temporal_stability(backend, config, iterations=60, window=11)
+    assert all(fit.converged for fit in series.fits)
+
+
+def test_pulse_backend_and_engine_share_one_relaxation_map():
+    t1, t2, tau = 20.0, 10.0, 35.0
+    p = ps.DeviceParams(f_max=5.2, i_offset=40.0, i_period=120.0, i_idle=30.0, f_cw=5.147,
+                        rabi_per_volt=17.5, t1=t1, t2=t2)
+    engine = ps._decoherence_ptm(p, np.array([p.idle_frequency]), tau)[0]
+    backend = rb.PulseBackend(t1_us=t1, t2_us=t2, gate_time_ns=tau).pulse_ptm(0.0, 0.0)
+    assert np.max(np.abs(engine - backend)) <= 1e-15
+    for make in (lambda: rb.PulseBackend(t1_us=5.0, t2_us=10.5),
+                 lambda: ps.DeviceParams(**{**vars(p), "t1": 5.0, "t2": 10.5})):
+        with pytest.raises(ValueError, match=r"t2 cannot exceed 2 \* t1"):
+            make()
+
+
+def test_survival_shortcut_is_the_true_probability_read_out_by_the_caller():
+    backend = rb.ChannelBackend(rb.GateNoiseModel(depolarizing_prob=2e-3), visibility=0.9)
+    assert backend.survival_probability(40) == 0.5 + 0.5 * (1.0 - 2e-3) ** 40
+    config = rb.RBConfig(lengths=(1, 4), sequences_per_length=2, seed=3)
+    record = rb.run_rb(backend, config)
+    for value in np.concatenate(record.values):
+        # 0.5 + 0.9 * 0.5 * (1 - lambda)^n for a whole pulse count n: visibility applied once
+        pulses = math.log((value - 0.5) / 0.45) / math.log(1.0 - 2e-3)
+        assert abs(pulses - round(pulses)) < 1e-6

@@ -1,0 +1,64 @@
+"""The benchmark in perfbench/ wraps and samples fluxqubit functions by name.
+
+Its tracer patches module attributes and a backend's instance methods, and
+its worker samples the host's speed at two calls every workload makes.
+These tests fail as soon as one of those names is renamed or removed, or
+stops being looked up, so the benchmark keeps measuring the package.
+"""
+
+import importlib
+import pathlib
+
+import pytest
+
+from fluxqubit import analysis, benchmarking, datafiles, demux, pulsesim, tomography
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+TRACED_MODULES = (analysis, benchmarking, demux, pulsesim, tomography)
+# perfbench/worker.py samples the host's speed at these two calls
+SAMPLED = ((demux, "run_segments"), (benchmarking, "draw_sequence"))
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans")
+
+
+def test_tracer_wraps_every_name_and_restores_it(spans):
+    device = datafiles.load_bundled_device("device_demux.cfg")
+    backend = benchmarking.ChannelBackend()
+    originals = [dict(vars(module)) for module in TRACED_MODULES]
+    tracer = spans.Tracer()
+    try:
+        tracer.install(backend)  # AttributeError as soon as a wrapped name is gone
+        assert "run" in vars(backend) and "survival_probability" in vars(backend)
+        demux.calibrate(device, drive_amplitude=0.7, dt=0.05)
+    finally:
+        tracer.restore()
+    for module, original in zip(TRACED_MODULES, originals):
+        assert all(vars(module)[name] is value for name, value in original.items())
+    assert "run" not in vars(backend) and "survival_probability" not in vars(backend)
+    # the scans are counted from their grids, passed positionally as args[1] and args[2]
+    assert tracer.counts["pulsesim.rabi_chevron.cells"] == 81 * (25 + 21 + 21 + 1)
+    assert tracer.counts["pulsesim.ramsey_axis_scan.cells"] == 71
+
+
+@pytest.mark.parametrize("module, name", SAMPLED)
+def test_sampled_calls_exist_and_are_looked_up(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    if module is demux:
+        device = datafiles.load_bundled_device("device_demux.cfg")
+        cal = demux.nominal_calibration(device, 0.7)
+        demux.simulate_sequence(device, demux.compile_gate("X90", cal), drive_amplitude=0.7)
+    else:
+        config = benchmarking.RBConfig(lengths=(1, 3), sequences_per_length=2)
+        benchmarking.run_rb(benchmarking.ChannelBackend(), config)
+    assert calls

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxqubit import ConsistencyError
 from fluxqubit import analysis as an
 from fluxqubit import pulsesim as ps
 from fluxqubit import qcore as qc
@@ -473,3 +474,139 @@ def test_integer_and_exact_shots_still_pass(shots):
     assert chevron[0, 0] == 0.0
     if shots is not None:
         assert np.all(chevron * shots == np.round(chevron * shots))
+
+
+# ---------------------------------------------------------------------------
+# Scans: one composed path, checked cell by cell against the engine
+# ---------------------------------------------------------------------------
+
+_SCAN_DEVICES = {
+    "noiseless": dict(visibility=0.9),
+    "t1_t2_dip": dict(visibility=0.9, t1=20.0, t2=10.0,
+                      tls_dips=(ps.TlsDip(center_ghz=5.10, width_mhz=40.0, t1_dip_us=0.5),)),
+}
+
+
+def _cell_reference(p, segments, dt, drive_amplitude):
+    """Read-out P_e of one scan cell from its own run_segments call."""
+    result = ps.run_segments(p, segments, dt, ps.GROUND_STATE, drive_amplitude,
+                             collect_series=False)
+    return 0.5 + p.visibility * (result.pe[-1] - 0.5)
+
+
+@pytest.mark.parametrize("device", sorted(_SCAN_DEVICES))
+@pytest.mark.parametrize("rise_time", [0.0, 1.0])
+def test_chevron_matches_per_cell_engine_runs(device, rise_time):
+    p = demux_device(**_SCAN_DEVICES[device])
+    di_grid = resonant_delta_i(p) + np.array([-1.0, 0.0, 1.5])
+    t_grid = np.array([0.0, 3.3, 10.0, 25.05])
+    chevron = ps.rabi_chevron(p, di_grid, t_grid, drive_amplitude=0.7, rise_time=rise_time)
+    expected = [[_cell_reference(p, ps.pulse_segments(di, t, rise_time, True), 0.05, 0.7)
+                 for di in di_grid] for t in t_grid]
+    assert np.max(np.abs(chevron - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("device", sorted(_SCAN_DEVICES))
+@pytest.mark.parametrize("rise_time", [0.0, 1.0])
+def test_ramsey_scan_matches_per_cell_engine_runs(device, rise_time):
+    p = demux_device(**_SCAN_DEVICES[device])
+    di_res, t_half = resonant_delta_i(p), 0.25 / p.rabi_frequency(0.7)
+    di_grid, t_grid = np.array([0.0, 2.0]), np.array([0.0, 1.7, 9.9, 20.0])
+    scan = ps.ramsey_axis_scan(p, di_grid, t_grid, delta_i_res=di_res, t_half=t_half,
+                               drive_amplitude=0.7, rise_time=rise_time)
+    half = ps.pulse_segments(di_res, t_half, rise_time, True)
+    expected = [[_cell_reference(p, half + [ps.Segment(t, di, di, False)] + half, 0.05, 0.7)
+                 for di in di_grid] for t in t_grid]
+    assert np.max(np.abs(scan - expected)) <= 1e-12
+
+
+def test_scans_do_not_call_the_engine(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a scan called run_segments")
+
+    monkeypatch.setattr(ps, "run_segments", fail)
+    p = demux_device(**_SCAN_DEVICES["t1_t2_dip"])
+    ps.rabi_chevron(p, [resonant_delta_i(p)], [0.0, 5.0], drive_amplitude=0.7, rise_time=1.0)
+    ps.ramsey_axis_scan(p, [0.0], [0.0, 5.0], delta_i_res=resonant_delta_i(p), t_half=10.0,
+                        drive_amplitude=0.7, rise_time=1.0)
+
+
+def test_decoherent_scan_keeps_one_off_maps_out_of_the_segment_cache():
+    p = demux_device(t1=17.0, t2=9.0)  # a device no other test uses
+    before = ps.segment_channel.cache_info()
+    ps.rabi_chevron(p, resonant_delta_i(p) + np.array([-1.0, 0.0]), np.linspace(0.0, 30.0, 40),
+                    drive_amplitude=0.7, rise_time=1.0)
+    after = ps.segment_channel.cache_info()
+    assert after.misses - before.misses == 4  # the rise and fall ramp of each column
+
+
+def test_scan_dt_check_covers_idle_detuning_and_the_swept_rate():
+    p = demux_device()
+    resonant = resonant_delta_i(p)
+    idle_limit = ps.DT_SAFETY_FACTOR / abs(p.idle_frequency - p.f_cw)
+    # on resonance the flat top alone only needs dt <= 0.05 / Omega_R, but the
+    # ramps start from the idle point, so the idle detuning sets the limit
+    assert ps.DT_SAFETY_FACTOR / p.rabi_frequency(0.7) > 2 * idle_limit
+    with pytest.raises(ValueError, match=f"need dt <= {idle_limit:.4g} ns"):
+        ps.rabi_chevron(p, [resonant], [1.0, 2.0], drive_amplitude=0.7, dt=1.01 * idle_limit)
+    ps.rabi_chevron(p, [resonant], [1.0, 2.0], drive_amplitude=0.7, dt=0.99 * idle_limit)
+    far = resonant - 30.0
+    swept_rate = abs(ps.freq_from_current(p, p.i_idle + far) - p.f_cw)
+    swept_limit = ps.DT_SAFETY_FACTOR / swept_rate
+    assert swept_limit < idle_limit
+    with pytest.raises(ValueError, match=f"need dt <= {swept_limit:.4g} ns"):
+        ps.rabi_chevron(p, [resonant, far], [1.0], drive_amplitude=0.7, dt=1.01 * swept_limit)
+
+
+def test_scan_rejects_negative_durations():
+    p = demux_device()
+    with pytest.raises(ValueError, match="non-negative"):
+        ps.rabi_chevron(p, [resonant_delta_i(p)], [-1.0, 2.0], drive_amplitude=0.7)
+
+
+def _small_scan(p, scan, **kwargs):
+    resonant = resonant_delta_i(p)
+    if scan == "chevron":
+        return ps.rabi_chevron(p, resonant + np.array([-0.5, 0.0]), [0.0, 7.0, 19.0],
+                               drive_amplitude=0.7, **kwargs)
+    return ps.ramsey_axis_scan(p, [0.0, 1.0], [0.0, 3.0, 6.5], delta_i_res=resonant,
+                               t_half=10.0, drive_amplitude=0.7, **kwargs)
+
+
+@pytest.mark.parametrize("scan", ["chevron", "ramsey"])
+def test_sampled_scans_draw_the_whole_map_from_one_generator(scan):
+    p = demux_device(visibility=0.9)
+    expected = np.random.default_rng(11).binomial(40, _small_scan(p, scan)) / 40
+    assert np.array_equal(_small_scan(p, scan, shots=40, seed=11), expected)
+
+
+def test_a_nan_state_fails_the_trace_check(monkeypatch):
+    p = demux_device()
+    nan_map = (np.full((4, 4), np.nan), 0.1)
+    monkeypatch.setattr(ps, "segment_channel", lambda *args: nan_map)
+    with pytest.raises(ConsistencyError, match="trace drifted by nan"):
+        ps.run_segments(p, [ps.Segment(5.0, 0.0, 0.0, True)], 0.05, ps.GROUND_STATE, 0.7,
+                        collect_series=False)
+    with pytest.raises(ConsistencyError, match="trace drifted by nan"):
+        ps.rabi_chevron(p, [resonant_delta_i(p)], [0.0, 5.0], drive_amplitude=0.7,
+                        rise_time=1.0)
+
+
+@pytest.mark.parametrize("center, width, t1_dip", [
+    (5.0, 5.0, -1.0), (5.0, 5.0, 0.0), (5.0, 5.0, np.nan),
+    (5.0, 0.0, 1.0), (5.0, -2.0, 1.0), (5.0, np.inf, 1.0), (5.0, np.nan, 1.0),
+    (np.nan, 5.0, 1.0), (np.inf, 5.0, 1.0),
+])
+def test_tls_dip_rejects_invalid_parameters(center, width, t1_dip):
+    with pytest.raises(ValueError):
+        ps.TlsDip(center_ghz=center, width_mhz=width, t1_dip_us=t1_dip)
+
+
+def test_valid_tls_dips_still_give_physical_survival():
+    no_loss = ps.TlsDip(center_ghz=4.7, width_mhz=5.0, t1_dip_us=np.inf)
+    dip = ps.TlsDip(center_ghz=4.7, width_mhz=5.0, t1_dip_us=1.0)
+    p = swap_device(t1=15.0, t2=30.0, tls_dips=(dip, no_loss))
+    survival = ps.swap_spectroscopy(p, "e", [4.6, 4.7, 4.8], [0.0, 100.0],
+                                    apply_visibility=False)
+    assert np.all(np.isfinite(survival)) and np.all((survival >= 0) & (survival <= 1))
+    assert survival[1, 1] < survival[1, 0]  # the dip shortens T1 at its centre

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxqubit import InvalidChannelError
 from fluxqubit import qcore as qc
@@ -203,3 +205,54 @@ def test_relaxation_ptm_acts_on_the_bloch_vector():
     stack = qc.relaxation_ptm(np.array([0.0, 1.0]))
     assert np.allclose(stack[0], np.eye(4), atol=1e-15)
     assert np.allclose(stack[1] @ [1.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 1.0], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Readout
+# ---------------------------------------------------------------------------
+
+_probabilities = st.floats(-0.5, 1.5)
+_visibilities = st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=_probabilities, visibility=_visibilities)
+def test_read_out_is_the_clipped_visibility_formula(p, visibility):
+    assert qc.read_out(p, visibility) == 0.5 + visibility * (min(max(p, 0.0), 1.0) - 0.5)
+    assert qc.read_out(p) == 0.5 + (min(max(p, 0.0), 1.0) - 0.5)  # visibility 1 by default
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ps=st.lists(_probabilities, min_size=1, max_size=12), visibility=_visibilities)
+def test_read_out_of_a_float_equals_its_array_element(ps, visibility):
+    values = qc.read_out(np.array(ps), visibility)
+    assert values.shape == (len(ps),)
+    for p, value in zip(ps, values):
+        assert qc.read_out(p, visibility) == value
+        assert qc.read_out(np.float64(p), visibility) == value
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ps=st.lists(_probabilities, min_size=1, max_size=12), visibility=_visibilities,
+       shots=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+def test_sampled_read_out_is_a_shot_fraction_in_the_unit_interval(ps, visibility, shots, seed):
+    sampled = [qc.read_out(np.array(ps), visibility, shots, np.random.default_rng(seed)),
+               np.array([qc.read_out(p, visibility, np.int64(shots), np.random.default_rng(seed))
+                         for p in ps])]
+    for values in sampled:
+        counts = values * shots
+        assert np.all(np.abs(counts - np.round(counts)) <= 1e-9)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+@pytest.mark.parametrize("shots", [0, -3, 2.5, 1.0, True])
+def test_read_out_rejects_bad_shots(shots):
+    with pytest.raises(ValueError, match="whole number"):
+        qc.read_out(0.5, 0.9, shots, np.random.default_rng(0))
+
+
+def test_sampled_read_out_needs_a_generator():
+    with pytest.raises(ValueError, match="random generator"):
+        qc.read_out(0.5, 0.9, 10)
+    with pytest.raises(ValueError, match="random generator"):
+        qc.read_out(np.array([0.5]), 0.9, 10)

@@ -356,3 +356,16 @@ def test_integer_and_exact_shots_pass(shots):
     assert record.shots is shots
     if shots is not None:
         assert np.all(record.entries * shots == np.round(record.entries * shots))
+
+
+def test_unitary_executor_reads_out_through_the_shared_readout():
+    executor = tm.unitary_executor(tm.IDEAL_GATES["X90"], visibility=0.8)
+    for index in range(36):
+        prep, basis = tm.entry_labels(index)
+        exact = executor(prep, basis, None, None)
+        ideal = tm.predict(qc.choi_from_unitary(tm.IDEAL_GATES["X90"]), index)
+        assert abs(exact - qc.read_out(ideal, 0.8)) <= 1e-12
+        sampled = executor(prep, basis, 25, np.random.default_rng(index))
+        assert sampled == np.random.default_rng(index).binomial(25, exact) / 25
+    with pytest.raises(ValueError, match="random generator"):
+        executor("+z", "+z", 25, None)
