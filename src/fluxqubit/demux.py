@@ -13,6 +13,8 @@ with chi(g) = -2 pi (g + latency) / axis_period per gap.  The compiler
 solves the gaps so each pulse lands on its target axis angle and pads the
 trailing gap until the net frame phase vanishes, so the simulated window
 equals the target gate up to a global phase (within the delay resolution).
+A compiled gate is a pulsesim.PulseSchedule, and pulsesim.segments_from_schedule
+turns it, or a concatenation of several, into engine segments.
 
 Calibration follows three steps: (1) flux-pulse amplitude from the maximum
 Rabi contrast in a chevron scan, (2) pi-pulse duration from a resonant Rabi
@@ -27,27 +29,29 @@ from typing import Optional
 
 import numpy as np
 
-from . import CalibrationError
+from . import CalibrationError, is_count
 from .analysis import FitResult, fit_nlls, fit_nlls_rows
 from .pulsesim import (
     GROUND_STATE,
     DeviceParams,
+    FluxDistortion,
     FluxPulse,
-    Segment,
+    PulseSchedule,
+    check_dt,
     current_from_freq,
     measure,
-    pulse_segments,
     rabi_chevron,
     ramsey_axis_scan,
     run_segments,
     segment_propagator,
+    segments_from_schedule,
 )
 from .qcore import bloch_rotation, phase_aligned_distance
 from .tomography import (
-    AXIS_LABELS,
     IDEAL_GATES,
     MeasurementRecord,
     ReconstructionOptions,
+    entry_index,
     qpt_record,
     reconstruct,
     report_fidelities,
@@ -108,27 +112,6 @@ class Calibration:
             raise ValueError("t_pi and axis_period must be positive")
 
 
-@dataclass(frozen=True)
-class DemuxSequence:
-    """Compiled pulses (identical amplitude) plus intended axis angles."""
-
-    name: str
-    pulses: tuple            # FluxPulse entries, time ordered
-    axis_angles: tuple       # rad, one per pulse
-    total_duration: float    # ns, window end including the trailing gap
-    rotation_amounts: tuple  # rad, one per pulse
-
-
-@dataclass(frozen=True)
-class FluxDistortion:
-    """Pulse imperfections: gain error, edge jitter, settling tail."""
-
-    amplitude_error: float = 0.0    # multiplicative delta_i error
-    timing_jitter_ns: float = 0.0   # std of random leading-edge shifts
-    settle_amplitude: float = 0.0   # tail height as a fraction of delta_i
-    settle_tau_ns: float = 0.0      # tail time constant
-
-
 def nominal_calibration(p: DeviceParams, drive_amplitude: float) -> Calibration:
     """Map-derived calibration (no scans): exact for zero rise time."""
     delta_i_res = current_from_freq(p, p.f_cw) - p.i_idle
@@ -152,6 +135,8 @@ def calibrate_amplitude(p: DeviceParams, *, delta_i_grid, t_grid,
                         drive_amplitude: float, rise_time: float = 0.0,
                         dt: float = 0.05, refinements: int = 2) -> float:
     """Step 1: flux-pulse amplitude maximizing the Rabi oscillation contrast."""
+    if not (is_count(refinements) and refinements >= 0):
+        raise ValueError(f"refinements must be a whole number >= 0, got {refinements!r}")
     grid = np.asarray(delta_i_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     for stage in range(refinements + 1):
@@ -296,7 +281,7 @@ def _solve_gap(chi_target: float, cal: Calibration, resolution: float) -> float:
 
 
 def compile_gate(gate, cal: Calibration, *, resolution: float = 0.002,
-                 rise_time: float = 0.0) -> DemuxSequence:
+                 rise_time: float = 0.0) -> PulseSchedule:
     """Compile a named gate, ("XY", amount, axis), or ("Z", theta).
 
     Pulse flat-top durations are amount / pi times the calibrated pi time;
@@ -305,13 +290,10 @@ def compile_gate(gate, cal: Calibration, *, resolution: float = 0.002,
     are quantized to `resolution`.
     """
     plan, z_angle = _pulse_plan(gate)
-    name = gate if isinstance(gate, str) else f"{gate[0]}{tuple(gate[1:])}"
     pulses = []
-    axis_angles = []
-    amounts = []
     cursor = 0.0
     accumulated_chi = 0.0
-    for k, (amount, axis) in enumerate(plan):
+    for amount, axis in plan:
         # gap phase so that this pulse's axis angle equals `axis`
         chi_target = -axis - accumulated_chi
         gap = _solve_gap(chi_target, cal, resolution)
@@ -322,16 +304,11 @@ def compile_gate(gate, cal: Calibration, *, resolution: float = 0.002,
             FluxPulse(delta_i=cal.delta_i_res, start=cursor,
                       duration=duration, rise_time=rise_time)
         )
-        axis_angles.append(axis)
-        amounts.append(amount)
         cursor = pulses[-1].end
     target_total = 0.0 if z_angle is None else z_angle
     trailing = _solve_gap(target_total - accumulated_chi, cal, resolution)
     cursor += trailing
-    return DemuxSequence(
-        name=name, pulses=tuple(pulses), axis_angles=tuple(axis_angles),
-        total_duration=cursor, rotation_amounts=tuple(amounts),
-    )
+    return PulseSchedule(tuple(pulses), cursor)
 
 
 def _gap_phase(gap: float, cal: Calibration) -> float:
@@ -339,76 +316,33 @@ def _gap_phase(gap: float, cal: Calibration) -> float:
     return -2 * _PI * (gap + latency) / cal.axis_period
 
 
-def concatenate(sequences) -> DemuxSequence:
-    """Tile compiled sequences back to back into one program."""
+def concatenate(sequences) -> PulseSchedule:
+    """Tile compiled programs back to back into one program."""
     pulses = []
-    axis_angles = []
-    amounts = []
     cursor = 0.0
-    names = []
     for seq in sequences:
         for pulse in seq.pulses:
             pulses.append(replace(pulse, start=pulse.start + cursor))
-        axis_angles.extend(seq.axis_angles)
-        amounts.extend(seq.rotation_amounts)
         cursor += seq.total_duration
-        names.append(seq.name)
-    return DemuxSequence(
-        name="+".join(names), pulses=tuple(pulses), axis_angles=tuple(axis_angles),
-        total_duration=cursor, rotation_amounts=tuple(amounts),
-    )
+    return PulseSchedule(tuple(pulses), cursor)
 
 
-def sequence_segments(seq: DemuxSequence, *, distortion: Optional[FluxDistortion] = None,
-                      rng: Optional[np.random.Generator] = None):
-    """Engine segments for a compiled program: drive on only within pulses."""
-    segments = []
-    cursor = 0.0
-    pulses = seq.pulses
-    if distortion is not None and distortion.timing_jitter_ns > 0 and rng is None:
-        raise ValueError("timing jitter needs a random generator")
-    for pulse in pulses:
-        start, delta_i = pulse.start, pulse.delta_i
-        if distortion is not None:
-            delta_i = delta_i * (1.0 + distortion.amplitude_error)
-            if distortion.timing_jitter_ns > 0:
-                start = max(cursor, start + rng.normal(0.0, distortion.timing_jitter_ns))
-        if start > cursor + 1e-12:
-            segments.append(Segment(start - cursor, 0.0, 0.0, False))
-        segments += pulse_segments(delta_i, pulse.duration, pulse.rise_time, True)
-        cursor = start + pulse.duration + 2 * pulse.rise_time
-        if distortion is not None and distortion.settle_amplitude > 0:
-            tau = distortion.settle_tau_ns
-            chunks = 6
-            chunk = 4.0 * tau / chunks
-            for k in range(chunks):
-                level = distortion.settle_amplitude * delta_i * math.exp(
-                    -(k + 0.5) * chunk / tau
-                )
-                segments.append(Segment(chunk, level, level, False))
-            cursor += 4.0 * tau
-    if seq.total_duration > cursor + 1e-12:
-        segments.append(Segment(seq.total_duration - cursor, 0.0, 0.0, False))
-    return segments
-
-
-def sequence_unitary(p: DeviceParams, seq: DemuxSequence, *,
+def sequence_unitary(p: DeviceParams, seq: PulseSchedule, *,
                      drive_amplitude: float, dt: float = 0.05) -> np.ndarray:
     """Noiseless drive-frame unitary realized by a compiled program."""
+    check_dt(dt)
     u = np.eye(2, dtype=complex)
-    for seg in sequence_segments(seq):
+    for seg in segments_from_schedule(seq):
         u = segment_propagator(p, seg, dt, drive_amplitude) @ u
     return u
 
 
-def simulate_sequence(p: DeviceParams, seq: DemuxSequence, *, drive_amplitude: float,
-                      dt: float = 0.05, rho0=None,
-                      distortion: Optional[FluxDistortion] = None,
+def simulate_sequence(p: DeviceParams, seq: PulseSchedule, *, drive_amplitude: float,
+                      dt: float = 0.05, distortion: Optional[FluxDistortion] = None,
                       rng: Optional[np.random.Generator] = None):
-    """Propagate a compiled program; returns the engine SimResult."""
-    segments = sequence_segments(seq, distortion=distortion, rng=rng)
-    state = GROUND_STATE if rho0 is None else rho0
-    return run_segments(p, segments, dt, state, drive_amplitude, collect_series=False)
+    """Propagate a compiled program from |g>; returns the engine SimResult."""
+    segments = segments_from_schedule(seq, distortion, rng)
+    return run_segments(p, segments, dt, GROUND_STATE, drive_amplitude, collect_series=False)
 
 
 def compiled_unitary_error(p: DeviceParams, gate, cal: Calibration, *,
@@ -463,8 +397,7 @@ def make_pulse_executor(p: DeviceParams, cal: Calibration, gate, *,
         if _BASIS_GATES[basis_label] is not None:
             programs.append(compiled[_BASIS_GATES[basis_label]])
         program = concatenate(programs)
-        entry = AXIS_LABELS.index(prep_label) * 6 + AXIS_LABELS.index(basis_label)
-        rng = np.random.default_rng((seed, gate_index, entry))
+        rng = np.random.default_rng((seed, gate_index, entry_index(prep_label, basis_label)))
         result = simulate_sequence(
             p, program, drive_amplitude=drive_amplitude, dt=dt,
             distortion=distortion, rng=rng,

@@ -11,10 +11,13 @@ frequency f_cw with
 where Omega_R = rabi_per_volt * drive_amplitude.  The drive phase is fixed;
 rotation-axis angles arise purely from pulse timing.
 
-A schedule is cut into segments of constant or linearly ramped flux, and
-each segment becomes one memoised 4x4 Pauli transfer matrix (PTM); segments
-compose by matrix product.  A step is the exact 2x2 exponential at the step
-midpoint, then amplitude damping at 1/T1(f) and dephasing at 1/T2 - 1/(2 T1).
+A flux program (PulseSchedule) becomes segments of constant or linearly
+ramped flux in one place, segments_from_schedule: the drive is on within
+pulses and off in the gaps, and a FluxDistortion adds gain error, edge
+jitter and settling tails.  Each segment becomes one memoised 4x4 Pauli
+transfer matrix (PTM); segments compose by matrix product.  A step is the
+exact 2x2 exponential at the step midpoint, then amplitude damping at
+1/T1(f) and dephasing at 1/T2 - 1/(2 T1).
 A ramp is the product of its ceil(duration / dt) steps; a constant segment
 is one exact step, or with T1/T2 the n-th matrix power of its step map.  The
 step size only sets the accuracy of ramps and T1/T2 and the sampling of time
@@ -140,12 +143,10 @@ class FluxPulse:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Time-ordered, non-overlapping flux pulses plus the drive setting."""
+    """Time-ordered, non-overlapping flux pulses in the window [0, total_duration]."""
 
-    pulses: tuple
-    total_duration: float
-    drive_amplitude: float = 0.0
-    drive_on: bool = False
+    pulses: tuple            # FluxPulse entries
+    total_duration: float    # ns, window end including the trailing gap
 
     def __post_init__(self):
         pulses = tuple(sorted(self.pulses, key=lambda p: p.start))
@@ -225,22 +226,59 @@ def pulse_segments(delta_i: float, duration: float, rise_time: float, drive: boo
     return [Segment(length, start, end, drive) for length, start, end in parts if length > 0]
 
 
-def segments_from_schedule(p: DeviceParams, s: PulseSchedule):
-    """Break a schedule into constant and ramp segments covering [0, T]."""
+@dataclass(frozen=True)
+class FluxDistortion:
+    """Pulse imperfections: gain error, edge jitter, settling tail."""
+
+    amplitude_error: float = 0.0    # multiplicative delta_i error
+    timing_jitter_ns: float = 0.0   # std of random leading-edge shifts
+    settle_amplitude: float = 0.0   # tail height as a fraction of delta_i
+    settle_tau_ns: float = 0.0      # tail time constant
+
+    def __post_init__(self):
+        if not all(math.isfinite(value) for value in vars(self).values()):
+            raise ValueError("distortion parameters must be finite")
+        if self.timing_jitter_ns < 0:
+            raise ValueError("timing_jitter_ns must be non-negative")
+        if self.settle_amplitude != 0 and not self.settle_tau_ns > 0:
+            raise ValueError("a settling tail needs a positive settle_tau_ns")
+
+
+def segments_from_schedule(s: PulseSchedule, distortion: Optional[FluxDistortion] = None,
+                           rng: Optional[np.random.Generator] = None):
+    """Engine segments for a flux program: drive on within pulses, off in gaps.
+
+    Without a distortion the segments tile [0, total_duration].  A distortion
+    scales each pulse amplitude by 1 + amplitude_error, moves each leading
+    edge by Gaussian jitter (never before the previous pulse ends; needs
+    `rng`), and appends a 4-tau settling tail after each pulse.
+    """
+    if distortion is not None and distortion.timing_jitter_ns > 0 and rng is None:
+        raise ValueError("timing jitter needs a random generator")
     segments = []
     cursor = 0.0
-
-    def idle_until(t):
-        nonlocal cursor
-        if t > cursor + 1e-12:
-            segments.append(Segment(t - cursor, 0.0, 0.0, s.drive_on))
-            cursor = t
-
     for pulse in s.pulses:
-        idle_until(pulse.start)
-        segments += pulse_segments(pulse.delta_i, pulse.duration, pulse.rise_time, s.drive_on)
-        cursor = pulse.end
-    idle_until(s.total_duration)
+        start, delta_i = pulse.start, pulse.delta_i
+        if distortion is not None:
+            delta_i = delta_i * (1.0 + distortion.amplitude_error)
+            if distortion.timing_jitter_ns > 0:
+                start = max(cursor, start + rng.normal(0.0, distortion.timing_jitter_ns))
+        if start > cursor + 1e-12:
+            segments.append(Segment(start - cursor, 0.0, 0.0, False))
+        segments += pulse_segments(delta_i, pulse.duration, pulse.rise_time, True)
+        cursor = start + pulse.duration + 2 * pulse.rise_time
+        if distortion is not None and distortion.settle_amplitude > 0:
+            tau = distortion.settle_tau_ns
+            chunks = 6
+            chunk = 4.0 * tau / chunks
+            for k in range(chunks):
+                level = distortion.settle_amplitude * delta_i * math.exp(
+                    -(k + 0.5) * chunk / tau
+                )
+                segments.append(Segment(chunk, level, level, False))
+            cursor += 4.0 * tau
+    if s.total_duration > cursor + 1e-12:
+        segments.append(Segment(s.total_duration - cursor, 0.0, 0.0, False))
     return segments
 
 
@@ -321,7 +359,13 @@ def _segment_map(p: DeviceParams, seg: Segment, dt: float, drive_amplitude: floa
 segment_channel = functools.lru_cache(maxsize=1024)(_segment_map)
 
 
-def _check_dt(dt: float, fastest: float) -> None:
+def check_dt(dt: float) -> None:
+    """Raise ValueError unless the step dt (ns) is positive and finite."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+
+
+def _check_resolution(dt: float, fastest: float) -> None:
     """Reject a step coarser than DT_SAFETY_FACTOR / fastest rate (GHz)."""
     if fastest > 0 and dt > DT_SAFETY_FACTOR / fastest:
         raise ValueError(
@@ -344,6 +388,7 @@ def run_segments(p: DeviceParams, segments, dt: float, rho0: np.ndarray,
     every segment is cut into ceil(duration / dt) steps and the state after
     each step comes from one stacked prefix product.
     """
+    check_dt(dt)
     r = pauli_vector(validate_density_matrix(rho0))
     times, vectors = [np.zeros(1)], [r[None, :]]
     fastest = t = 0.0
@@ -361,7 +406,7 @@ def run_segments(p: DeviceParams, segments, dt: float, rho0: np.ndarray,
             r = ptm @ r
         fastest = max(fastest, rate)
         t += seg.duration
-    _check_dt(dt, fastest)
+    _check_resolution(dt, fastest)
     _check_trace(abs(r[0] - 1.0), t)
     vectors = np.concatenate(vectors) if collect_series else r[None, :]
     times = np.concatenate(times) if collect_series else np.array([t])
@@ -369,11 +414,10 @@ def run_segments(p: DeviceParams, segments, dt: float, rho0: np.ndarray,
     return SimResult(times=times, pe=pe, final_state=density_from_pauli_vector(r))
 
 
-def evolve(p: DeviceParams, s: PulseSchedule, dt: float, rho0: np.ndarray) -> SimResult:
+def evolve(p: DeviceParams, s: PulseSchedule, dt: float, rho0: np.ndarray,
+           drive_amplitude: float) -> SimResult:
     """Simulate a schedule from rho0, sampling P_e roughly every dt ns."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return run_segments(p, segments_from_schedule(p, s), dt, rho0, s.drive_amplitude)
+    return run_segments(p, segments_from_schedule(s), dt, rho0, drive_amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +430,9 @@ def measure(rho: np.ndarray, p: DeviceParams, shots: Optional[int] = None,
     return read_out(excited_population(rho), p.visibility, shots, rng)
 
 
-def single_pulse_schedule(delta_i: float, duration: float, rise_time: float,
-                          drive_amplitude: float) -> PulseSchedule:
+def single_pulse_schedule(delta_i: float, duration: float, rise_time: float) -> PulseSchedule:
     pulse = FluxPulse(delta_i=delta_i, start=0.0, duration=duration, rise_time=rise_time)
-    return PulseSchedule(
-        pulses=(pulse,), total_duration=pulse.end,
-        drive_amplitude=drive_amplitude, drive_on=True,
-    )
+    return PulseSchedule(pulses=(pulse,), total_duration=pulse.end)
 
 
 def _scan(p: DeviceParams, columns, durations, *, drive_amplitude: float, dt: float,
@@ -406,6 +446,7 @@ def _scan(p: DeviceParams, columns, durations, *, drive_amplitude: float, dt: fl
     step-map power, so one-off maps stay out of the cache.  Cells share one
     dt check (the idle detuning and every rate) and the engine's trace check.
     """
+    check_dt(dt)
     durations = np.asarray(durations, dtype=float)
     if durations.size == 0 or not columns:
         raise ValueError("scan grids must be non-empty")
@@ -432,7 +473,7 @@ def _scan(p: DeviceParams, columns, durations, *, drive_amplitude: float, dt: fl
         # each column's worst cell against its shortest cell's (tightest) tolerance
         _check_trace(np.max(np.abs(r[:, 0] - 1.0)), fixed_ns + durations.min())
         pe[:, j] = 0.5 * (r[:, 0] - r[:, 3])
-    _check_dt(dt, fastest)
+    _check_resolution(dt, fastest)
     return read_out(pe, p.visibility, shots, np.random.default_rng(seed))
 
 

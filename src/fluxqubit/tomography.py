@@ -51,13 +51,13 @@ _LABEL_VECTORS = {
     "-y": (0.0, -1.0, 0.0),
 }
 
+# (I + sign * sigma_axis) / 2 is both the axial state and the basis projector
 PREP_STATES = tuple(density_from_bloch(_LABEL_VECTORS[label]) for label in AXIS_LABELS)
-BASIS_PROJECTORS = PREP_STATES  # (I + sign * sigma_axis) / 2 is itself an axial state
 
 # Born-rule coefficient matrices: probability = Re tr(_COEFFS[k] @ C)
 _COEFFS = np.stack(
     [
-        np.kron(PREP_STATES[s].T, BASIS_PROJECTORS[b])
+        np.kron(PREP_STATES[s].T, PREP_STATES[b])
         for s in range(6)
         for b in range(6)
     ]
@@ -156,7 +156,7 @@ def unitary_executor(u: np.ndarray, visibility: float = 1.0):
 
     def executor(prep_label, basis_label, shots, rng):
         rho = u @ PREP_STATES[AXIS_LABELS.index(prep_label)] @ dagger(u)
-        prob = float(np.trace(rho @ BASIS_PROJECTORS[AXIS_LABELS.index(basis_label)]).real)
+        prob = float(np.trace(rho @ PREP_STATES[AXIS_LABELS.index(basis_label)]).real)
         return read_out(prob, visibility, shots, rng)
 
     return executor
@@ -309,9 +309,7 @@ def reconstruct(record: MeasurementRecord, opts: ReconstructionOptions = Reconst
 
 def linear_lsq_choi(record: MeasurementRecord) -> np.ndarray:
     """Unconstrained least-squares Choi estimate (not CPTP in general)."""
-    paulis = (np.eye(2, dtype=complex), SIGMA_X,
-              np.array([[0, -1j], [1j, 0]]), SIGMA_Z)
-    basis = [np.kron(a, b) / 2.0 for a in paulis for b in paulis]
+    basis = [np.kron(a, b) / 2.0 for a in PAULI_BASIS for b in PAULI_BASIS]
     design = np.array(
         [[np.trace(coeff @ b).real for b in basis] for coeff in _COEFFS]
     )

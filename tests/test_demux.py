@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxqubit import CalibrationError
 from fluxqubit import datafiles as df
@@ -362,3 +364,73 @@ def test_pipeline_compiles_each_program_once_per_gate(monkeypatch):
     assert len(calls) <= 30  # a gate and 5 preparation/basis programs per executor
     for result, entries in zip(results, expected):
         assert np.array_equal(result.record.entries, entries)
+
+
+_gate = st.one_of(
+    st.sampled_from(sorted(dx.GATE_PULSE_TABLE)),
+    st.tuples(st.just("XY"), st.floats(-2 * np.pi, 2 * np.pi), st.floats(-np.pi, np.pi)),
+    st.tuples(st.just("Z"), st.floats(-np.pi, np.pi)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gates=st.lists(_gate, min_size=1, max_size=4), rise_time=st.floats(0.0, 2.0))
+def test_concatenated_programs_expand_to_drive_on_pulse_footprints(gates, rise_time):
+    cal = dx.nominal_calibration(demux_device(), DRIVE)
+    program = dx.concatenate([dx.compile_gate(g, cal, rise_time=rise_time) for g in gates])
+    assert isinstance(program, ps.PulseSchedule)
+    assert ps.PulseSchedule(program.pulses, program.total_duration) == program
+    segments = ps.segments_from_schedule(program)
+    assert all(seg.duration > 0 for seg in segments)
+    assert abs(sum(seg.duration for seg in segments) - program.total_duration) <= 1e-9
+    footprints = [(pulse.start, pulse.end) for pulse in program.pulses]
+    t = 0.0
+    for seg in segments:
+        inside = [max(0.0, min(t + seg.duration, end) - max(t, start))
+                  for start, end in footprints]
+        if seg.drive:  # the segment lies within one pulse
+            assert max(inside) >= seg.duration - 1e-9
+        else:  # the segment lies in a gap, at zero flux
+            assert sum(inside) <= 1e-9
+            assert seg.di_start == seg.di_end == 0.0
+        t += seg.duration
+    drive_ns = sum(seg.duration for seg in segments if seg.drive)
+    assert abs(drive_ns - sum(end - start for start, end in footprints)) <= 1e-9
+
+
+def _run_with_dt(entry, dt):
+    p = demux_device()
+    cal = dx.nominal_calibration(p, DRIVE)
+    program = dx.compile_gate("X90", cal, rise_time=1.0)
+    if entry == "rabi_chevron":
+        ps.rabi_chevron(p, [cal.delta_i_res], [0.0, 5.0], drive_amplitude=DRIVE,
+                        rise_time=1.0, dt=dt)
+    elif entry == "ramsey_axis_scan":
+        ps.ramsey_axis_scan(p, [0.0], [0.0, 5.0], delta_i_res=cal.delta_i_res,
+                            t_half=cal.t_pi / 2, drive_amplitude=DRIVE, rise_time=1.0, dt=dt)
+    elif entry == "run_segments":
+        ps.run_segments(p, ps.segments_from_schedule(program), dt, ps.GROUND_STATE, DRIVE)
+    elif entry == "evolve":
+        ps.evolve(p, program, dt, ps.GROUND_STATE, DRIVE)
+    elif entry == "simulate_sequence":
+        dx.simulate_sequence(p, program, drive_amplitude=DRIVE, dt=dt)
+    else:
+        dx.sequence_unitary(p, program, drive_amplitude=DRIVE, dt=dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05, float("nan")])
+@pytest.mark.parametrize("entry", ["rabi_chevron", "ramsey_axis_scan", "run_segments",
+                                   "evolve", "simulate_sequence", "sequence_unitary"])
+def test_every_entry_point_rejects_a_step_that_is_not_positive_and_finite(entry, dt):
+    _run_with_dt(entry, 0.05)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        _run_with_dt(entry, dt)
+
+
+@pytest.mark.parametrize("refinements", [-1, 1.5, True])
+def test_calibrate_amplitude_rejects_a_bad_refinement_count(refinements):
+    p = demux_device()
+    grid = dx.nominal_calibration(p, DRIVE).delta_i_res + np.linspace(-1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="refinements"):
+        dx.calibrate_amplitude(p, delta_i_grid=grid, t_grid=np.linspace(0.0, 160.0, 41),
+                               drive_amplitude=DRIVE, refinements=refinements)

@@ -76,8 +76,8 @@ def test_resonant_rabi_matches_sine_squared():
     p = demux_device()
     di = resonant_delta_i(p)
     omega = p.rabi_frequency(0.7)
-    schedule = ps.single_pulse_schedule(di, 120.0, 0.0, 0.7)
-    result = ps.evolve(p, schedule, 0.05, ps.GROUND_STATE)
+    schedule = ps.single_pulse_schedule(di, 120.0, 0.0)
+    result = ps.evolve(p, schedule, 0.05, ps.GROUND_STATE, 0.7)
     expected = np.sin(np.pi * omega * result.times) ** 2
     assert np.max(np.abs(result.pe - expected)) < 1e-9
 
@@ -88,8 +88,8 @@ def test_pi_pulse_time_anchor():
     di = resonant_delta_i(p)
     t = np.linspace(0.0, 160.0, 321)
     trace = [
-        ps.evolve(p, ps.single_pulse_schedule(di, ti, 0.0, 0.7), 0.05,
-                  ps.GROUND_STATE).pe[-1]
+        ps.evolve(p, ps.single_pulse_schedule(di, ti, 0.0), 0.05,
+                  ps.GROUND_STATE, 0.7).pe[-1]
         for ti in t
     ]
     fit = an.fit_nlls("cosine_fringe", t, np.asarray(trace))
@@ -105,8 +105,8 @@ def test_detuned_rabi_matches_generalized_formula():
     di = ps.current_from_freq(p, f_target) - p.i_idle
     t = np.linspace(0.0, 200.0, 401)
     pe = [
-        ps.evolve(p, ps.single_pulse_schedule(di, ti, 0.0, 0.7), 0.04,
-                  ps.GROUND_STATE).pe[-1]
+        ps.evolve(p, ps.single_pulse_schedule(di, ti, 0.0), 0.04,
+                  ps.GROUND_STATE, 0.7).pe[-1]
         for ti in t
     ]
     generalized = np.hypot(delta, omega)
@@ -151,8 +151,8 @@ def test_ramsey_axis_extremes():
 def test_trace_and_purity_preserved_without_decoherence():
     p = demux_device()
     di = resonant_delta_i(p)
-    schedule = ps.single_pulse_schedule(di, 50.0, 2.0, 0.7)
-    result = ps.evolve(p, schedule, 0.02, ps.GROUND_STATE)
+    schedule = ps.single_pulse_schedule(di, 50.0, 2.0)
+    result = ps.evolve(p, schedule, 0.02, ps.GROUND_STATE, 0.7)
     assert abs(np.trace(result.final_state).real - 1.0) < 1e-9
     assert abs(purity(result.final_state) - 1.0) < 1e-9
 
@@ -160,8 +160,8 @@ def test_trace_and_purity_preserved_without_decoherence():
 def test_trace_preserved_with_decoherence():
     p = demux_device(t1=20.0, t2=10.0)
     di = resonant_delta_i(p)
-    schedule = ps.single_pulse_schedule(di, 200.0, 2.0, 0.7)
-    result = ps.evolve(p, schedule, 0.05, ps.GROUND_STATE)
+    schedule = ps.single_pulse_schedule(di, 200.0, 2.0)
+    result = ps.evolve(p, schedule, 0.05, ps.GROUND_STATE, 0.7)
     assert abs(np.trace(result.final_state).real - 1.0) < 1e-9
     assert purity(result.final_state) < 1.0
 
@@ -169,17 +169,17 @@ def test_trace_preserved_with_decoherence():
 def test_step_size_convergence_through_ramps():
     p = demux_device()
     di = resonant_delta_i(p) + 2.0
-    schedule = ps.single_pulse_schedule(di, 30.0, 2.0, 0.7)
-    coarse = ps.evolve(p, schedule, 0.01, ps.GROUND_STATE).pe[-1]
-    fine = ps.evolve(p, schedule, 0.005, ps.GROUND_STATE).pe[-1]
+    schedule = ps.single_pulse_schedule(di, 30.0, 2.0)
+    coarse = ps.evolve(p, schedule, 0.01, ps.GROUND_STATE, 0.7).pe[-1]
+    fine = ps.evolve(p, schedule, 0.005, ps.GROUND_STATE, 0.7).pe[-1]
     assert abs(coarse - fine) < 1e-6
 
 
 def test_evolve_rejects_coarse_dt():
     p = demux_device()
-    schedule = ps.single_pulse_schedule(resonant_delta_i(p), 30.0, 0.0, 0.7)
+    schedule = ps.single_pulse_schedule(resonant_delta_i(p), 30.0, 0.0)
     with pytest.raises(ValueError):
-        ps.evolve(p, schedule, 5.0, ps.GROUND_STATE)
+        ps.evolve(p, schedule, 5.0, ps.GROUND_STATE, 0.7)
 
 
 def test_schedule_validation():
@@ -192,6 +192,19 @@ def test_schedule_validation():
         ps.PulseSchedule(pulses=(ps.FluxPulse(1.0, 0.0, 10.0, 1.0),), total_duration=5.0)
     with pytest.raises(ValueError):
         ps.FluxPulse(1.0, 0.0, -1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(settle_amplitude=0.01, settle_tau_ns=0.0), "settle_tau_ns"),
+    (dict(settle_amplitude=-0.01, settle_tau_ns=-5.0), "settle_tau_ns"),
+    (dict(timing_jitter_ns=-0.1), "timing_jitter_ns"),
+    (dict(amplitude_error=float("nan")), "finite"),
+    (dict(settle_amplitude=0.01, settle_tau_ns=float("inf")), "finite"),
+    (dict(timing_jitter_ns=float("inf")), "finite"),
+])
+def test_flux_distortion_rejects_invalid_parameters(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ps.FluxDistortion(**kwargs)
 
 
 def test_measure_formula_and_fixed_point():
