@@ -1,10 +1,11 @@
 """Nonlinear least-squares fitting and Allan-deviation analysis.
 
-Three fit models are provided:
+Two fit models are provided:
 
 * ``exp_decay``:      y = A * p**x + B            (params A, p, B)
-* ``sinusoid``:       y = A * sin(2 pi f x + phi) + C   (params A, f, phi, C)
 * ``cosine_fringe``:  y = A * cos(2 pi f x + phi) + C   (params A, f, phi, C)
+
+A sine is the cosine fringe with phi shifted by -pi/2.
 
 Fits run a damped Gauss-Newton (Levenberg) iteration with analytic
 Jacobians; steps that increase the residual are rejected and the damping
@@ -112,18 +113,6 @@ def _exp_decay_guess(x, y):
     return np.array([a, decay, b])
 
 
-def _sinusoid(x, p):
-    a, f, phi, c = p.T[..., None]
-    return a * np.sin(2 * np.pi * f * x + phi) + c
-
-
-def _sinusoid_jac(x, p):
-    a, f, phi, c = p.T[..., None]
-    arg = 2 * np.pi * f * x + phi
-    cos = np.cos(arg)
-    return _stack_columns(np.sin(arg), a * 2 * np.pi * x * cos, a * cos, 1.0)
-
-
 def _cosine_fringe(x, p):
     a, f, phi, c = p.T[..., None]
     return a * np.cos(2 * np.pi * f * x + phi) + c
@@ -168,7 +157,7 @@ def coarse_spectrum_peak(x, y, oversample: int = 8) -> float:
     return float(freqs[np.argmax(power)])
 
 
-def _oscillation_guess(x, y, kind: str):
+def _oscillation_guess(x, y):
     c = float(np.mean(y))
     f = coarse_spectrum_peak(x, y)
     arg = 2 * np.pi * f * x
@@ -176,27 +165,14 @@ def _oscillation_guess(x, y, kind: str):
     coef, *_ = np.linalg.lstsq(design, y - c, rcond=None)
     a_cos, b_sin = coef
     amplitude = float(np.hypot(a_cos, b_sin))
-    if kind == "sinusoid":
-        phi = float(np.arctan2(a_cos, b_sin))
-    else:
-        phi = float(np.arctan2(-b_sin, a_cos))
+    phi = float(np.arctan2(-b_sin, a_cos))
     return np.array([amplitude, f, phi, c])
 
 
 MODELS = {
     "exp_decay": (_exp_decay, _exp_decay_jac, _exp_decay_guess, ("A", "p", "B")),
-    "sinusoid": (
-        _sinusoid,
-        _sinusoid_jac,
-        lambda x, y: _oscillation_guess(x, y, "sinusoid"),
-        ("A", "f", "phi", "C"),
-    ),
-    "cosine_fringe": (
-        _cosine_fringe,
-        _cosine_fringe_jac,
-        lambda x, y: _oscillation_guess(x, y, "cosine"),
-        ("A", "f", "phi", "C"),
-    ),
+    "cosine_fringe": (_cosine_fringe, _cosine_fringe_jac, _oscillation_guess,
+                      ("A", "f", "phi", "C")),
 }
 
 
@@ -454,16 +430,3 @@ def allan_deviation(times, values, taus) -> np.ndarray:
         n_eff = max(1.0, (n - 2 * k_int + 1) / (2 * k_int))
         rows.append((float(tau), ad, ad / np.sqrt(2 * n_eff)))
     return np.array(rows)
-
-
-def percentile(values, q: float, exclude=None) -> float:
-    """Linear-interpolation percentile after applying an exclusion mask."""
-    values = np.asarray(values, dtype=float).ravel()
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=bool).ravel()
-        if exclude.shape != values.shape:
-            raise ValueError("exclusion mask must match the values")
-        values = values[~exclude]
-    if values.size == 0:
-        raise ValueError("no values left after exclusion")
-    return float(np.percentile(values, q))

@@ -120,7 +120,6 @@ class DecayRecord:
     lengths: tuple
     values: list           # one list of floats per length
     timestamps: list       # one list of seconds per length
-    kind: str = "rb"
 
     def means(self) -> np.ndarray:
         return np.array([np.mean(v) for v in self.values])
@@ -257,7 +256,7 @@ def run_rb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0) -> D
             values[i_m].append(float(_measure(backend, compiled.pulses, config.shots, rng,
                                               f"length {m}, sequence {j}")))
             stamps[i_m].append((i_m * config.sequences_per_length + j) * seconds_per_sequence)
-    return DecayRecord(config.lengths, values, stamps, kind="rb")
+    return DecayRecord(config.lengths, values, stamps)
 
 
 _ANALYSIS_STEPS = (  # readout label, analysis rotation appended before measuring z
@@ -303,8 +302,8 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
             survival_values[i_m].append(0.5 * (1.0 + expectations["z"]))
             stamps[i_m].append((i_m * config.sequences_per_length + j) * seconds_per_sequence)
     return PBResult(
-        purity=DecayRecord(config.lengths, purity_values, stamps, kind="pb"),
-        survival=DecayRecord(config.lengths, survival_values, stamps, kind="rb"),
+        purity=DecayRecord(config.lengths, purity_values, stamps),
+        survival=DecayRecord(config.lengths, survival_values, stamps),
     )
 
 

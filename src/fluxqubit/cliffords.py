@@ -24,7 +24,7 @@ convention a uniformly drawn element compiles to 23/24 microwave pulses on
 average.
 
 Element indices follow the published-table row order (identity first) and
-are stable across runs; sequence files store these indices.
+are stable across runs.
 """
 
 from __future__ import annotations
@@ -299,47 +299,3 @@ def physical_unitary(ppl: PhysicalPulseList) -> np.ndarray:
         n = (np.cos(axis_angle), np.sin(axis_angle), 0.0)
         u = bloch_rotation(n, amount) @ u
     return bloch_rotation(_Z_AXIS, ppl.frame_phase) @ u
-
-
-# ---------------------------------------------------------------------------
-# Sequence files: one sequence per line, whitespace-separated element
-# indices, recovery index appended after a "|" separator.
-# ---------------------------------------------------------------------------
-
-def format_sequence_line(sequence, recovery: CliffordGate) -> str:
-    indices = " ".join(str(g.index) for g in sequence)
-    return f"{indices} | {recovery.index}" if indices else f"| {recovery.index}"
-
-
-def _parse_index(token: str) -> CliffordGate:
-    if not (token.isdigit() and int(token) < 24):
-        raise ValueError(f"sequence element {token!r} is not an index in 0-23")
-    return _GATES[int(token)]
-
-
-def parse_sequence_line(line: str):
-    """Returns (sequence gates, recovery gate) for one file line."""
-    if "|" not in line:
-        raise ValueError("sequence line is missing the '|' recovery separator")
-    left, right = line.split("|", 1)
-    gates = tuple(_parse_index(tok) for tok in left.split())
-    recovery = _parse_index(right.strip())
-    if recovery_gate(gates) != recovery:
-        raise ValueError(f"recovery {recovery.index} does not invert the sequence")
-    return gates, recovery
-
-
-def write_sequences(path, sequences_with_recovery):
-    with open(path, "w", encoding="utf-8") as fh:
-        for sequence, recovery in sequences_with_recovery:
-            fh.write(format_sequence_line(sequence, recovery) + "\n")
-
-
-def read_sequences(path):
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(parse_sequence_line(line))
-    return out

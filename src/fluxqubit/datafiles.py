@@ -1,9 +1,8 @@
-"""File formats: device configs, calibration files, QPT records, bundled data.
+"""Bundled data: device configs and reference process matrices.
 
-All formats are plain text.  Device configuration uses an INI-style
-key-value schema (section `[device]`, experiment sections per subcommand);
-calibration files are `name = value` lines; tomography records are 36
-lines of `prep basis probability shots`.
+Device configuration uses an INI-style key-value schema (section
+`[device]`); the reference process matrices are trace-2 Choi matrices
+stored as text (see qcore.format_matrix).
 """
 
 from __future__ import annotations
@@ -11,13 +10,11 @@ from __future__ import annotations
 import configparser
 import math
 from importlib import resources
-from typing import Optional
 
 import numpy as np
 
 from .pulsesim import DeviceParams, TlsDip
 from .qcore import parse_matrix
-from .tomography import AXIS_LABELS, MeasurementRecord, entry_index
 
 REFERENCE_GATES = ("X90", "Y-90", "T", "S", "H")
 
@@ -84,91 +81,15 @@ def device_from_config(parser: configparser.ConfigParser) -> DeviceParams:
             t2=section.getfloat("t2_us", fallback=math.inf),
             tls_dips=_parse_tls_dips(section.get("tls_dips", fallback="")),
             visibility=section.getfloat("visibility", fallback=1.0),
-            readout_f=section.getfloat("readout_f_ghz", fallback=0.0),
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid [device] section: {exc}") from exc
 
 
-def read_config(path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
-    return parser
-
-
-def read_config_text(text: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read_string(text)
-    return parser
-
-
-def load_device(path) -> DeviceParams:
-    return device_from_config(read_config(path))
-
-
-def bundled_config_text(name: str) -> str:
+def load_bundled_device(name: str) -> DeviceParams:
+    """DeviceParams from one of the bundled configs, by file name."""
     if name not in BUNDLED_DEVICES:
         raise ValueError(f"no bundled config {name!r}; known: {BUNDLED_DEVICES}")
-    return _data_text(name)
-
-
-def load_bundled_device(name: str) -> DeviceParams:
-    return device_from_config(read_config_text(bundled_config_text(name)))
-
-
-# ---------------------------------------------------------------------------
-# Calibration files
-# ---------------------------------------------------------------------------
-
-def format_calibration(cal) -> str:
-    return (
-        f"delta_i_res_uA = {cal.delta_i_res!r}\n"
-        f"t_pi_ns = {cal.t_pi!r}\n"
-        f"axis_period_ns = {cal.axis_period!r}\n"
-        f"phase_offset_rad = {cal.phase_offset!r}\n"
-    )
-
-
-def parse_calibration(text: str) -> dict:
-    values = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = float(value)
-    required = {"delta_i_res_uA", "t_pi_ns", "axis_period_ns", "phase_offset_rad"}
-    missing = required - values.keys()
-    if missing:
-        raise ValueError(f"calibration file is missing {sorted(missing)}")
-    return values
-
-
-# ---------------------------------------------------------------------------
-# Tomography record files: 36 lines of (prep, basis, probability, shots)
-# ---------------------------------------------------------------------------
-
-def format_measurement_record(record: MeasurementRecord, header_lines=()) -> str:
-    out = [f"# {line}" for line in header_lines]
-    shots_text = "inf" if record.shots is None else str(record.shots)
-    for prep in AXIS_LABELS:
-        for basis in AXIS_LABELS:
-            value = float(record.entries[entry_index(prep, basis)])
-            out.append(f"{prep} {basis} {value!r} {shots_text}")
-    return "\n".join(out) + "\n"
-
-
-def parse_measurement_record(text: str) -> MeasurementRecord:
-    entries = np.full(36, np.nan)
-    shots: Optional[int] = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        prep, basis, value, shots_text = line.split()
-        entries[entry_index(prep, basis)] = float(value)
-        shots = None if shots_text == "inf" else int(shots_text)
-    if np.any(np.isnan(entries)):
-        raise ValueError("measurement record is missing entries")
-    return MeasurementRecord(entries=entries, shots=shots)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(_data_text(name))
+    return device_from_config(parser)

@@ -50,7 +50,6 @@ from .qcore import bloch_rotation, phase_aligned_distance
 from .tomography import (
     IDEAL_GATES,
     MeasurementRecord,
-    ReconstructionOptions,
     entry_index,
     qpt_record,
     reconstruct,
@@ -108,6 +107,8 @@ class Calibration:
     phase_offset: float = 0.0  # rad, fitted fringe phase (latency per gap)
 
     def __post_init__(self):
+        if not all(math.isfinite(value) for value in vars(self).values()):
+            raise ValueError("calibration constants must be finite")
         if self.t_pi <= 0 or self.axis_period <= 0:
             raise ValueError("t_pi and axis_period must be positive")
 
@@ -409,8 +410,7 @@ def make_pulse_executor(p: DeviceParams, cal: Calibration, gate, *,
 
 
 def qpt_pipeline(p: DeviceParams, cal: Calibration, gates=QPT_GATES,
-                 shots: Optional[int] = None,
-                 opts: ReconstructionOptions = ReconstructionOptions(), *,
+                 shots: Optional[int] = None, *,
                  drive_amplitude: float, resolution: float = 0.002,
                  rise_time: float = 0.0, dt: float = 0.05,
                  distortion: Optional[FluxDistortion] = None,
@@ -424,7 +424,7 @@ def qpt_pipeline(p: DeviceParams, cal: Calibration, gates=QPT_GATES,
             seed=seed, gate_index=gate_index,
         )
         record = qpt_record(executor, shots, gate_name=str(gate))
-        choi, diagnostics = reconstruct(record, opts)
+        choi, diagnostics = reconstruct(record)
         fidelity = report_fidelities([gate], [choi])[0][1]
         results.append(GateQPTResult(
             name=gate, record=record, choi=choi,

@@ -92,7 +92,6 @@ class DeviceParams:
     t2: float = math.inf         # us
     tls_dips: tuple = ()
     visibility: float = 1.0
-    readout_f: float = 0.0       # GHz, informational
 
     def __post_init__(self):
         object.__setattr__(self, "tls_dips", tuple(self.tls_dips))  # hashable memo key
@@ -131,6 +130,8 @@ class FluxPulse:
     rise_time: float = 0.0  # ns
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.delta_i, self.start, self.duration, self.rise_time))):
+            raise ValueError("flux pulse amplitude and times must be finite")
         if self.duration < 0:
             raise ValueError("duration must be non-negative")
         if self.rise_time < 0:
@@ -149,6 +150,8 @@ class PulseSchedule:
     total_duration: float    # ns, window end including the trailing gap
 
     def __post_init__(self):
+        if not (math.isfinite(self.total_duration) and self.total_duration >= 0):
+            raise ValueError("total_duration must be finite and non-negative")
         pulses = tuple(sorted(self.pulses, key=lambda p: p.start))
         object.__setattr__(self, "pulses", pulses)
         for a, b in zip(pulses, pulses[1:]):
@@ -251,7 +254,8 @@ def segments_from_schedule(s: PulseSchedule, distortion: Optional[FluxDistortion
     Without a distortion the segments tile [0, total_duration].  A distortion
     scales each pulse amplitude by 1 + amplitude_error, moves each leading
     edge by Gaussian jitter (never before the previous pulse ends; needs
-    `rng`), and appends a 4-tau settling tail after each pulse.
+    `rng`), and appends a 4-tau settling tail after each pulse (an overshoot
+    for a positive settle_amplitude, an undershoot for a negative one).
     """
     if distortion is not None and distortion.timing_jitter_ns > 0 and rng is None:
         raise ValueError("timing jitter needs a random generator")
@@ -267,7 +271,7 @@ def segments_from_schedule(s: PulseSchedule, distortion: Optional[FluxDistortion
             segments.append(Segment(start - cursor, 0.0, 0.0, False))
         segments += pulse_segments(delta_i, pulse.duration, pulse.rise_time, True)
         cursor = start + pulse.duration + 2 * pulse.rise_time
-        if distortion is not None and distortion.settle_amplitude > 0:
+        if distortion is not None and distortion.settle_amplitude != 0:
             tau = distortion.settle_tau_ns
             chunks = 6
             chunk = 4.0 * tau / chunks

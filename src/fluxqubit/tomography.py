@@ -13,7 +13,8 @@ is followed by the exact Frobenius projection onto the CPTP set, found by a
 semismooth Newton solve of its four-dimensional dual problem (Qi & Sun,
 SIAM J. Matrix Anal. Appl. 28, 360 (2006)); see `project_cptp`.  Steps that
 would increase the cost are halved, so the accepted cost sequence is
-monotone.
+monotone.  The step length, iteration cap and stopping tolerance are the
+module constants STEP_SIZE, MAX_ITERATIONS and COST_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError, check_shots, is_count, wrap_error
+from . import ConsistencyError, check_shots, wrap_error
 from .qcore import (
     IDENTITY,
     PAULI_BASIS,
@@ -94,30 +95,21 @@ class MeasurementRecord:
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (36,):
             raise ValueError(f"expected 36 entries, got shape {entries.shape}")
-        if np.any(entries < -1e-12) or np.any(entries > 1 + 1e-12):
-            raise ValueError("probabilities must lie in [0, 1]")
+        # NaN fails both comparisons, so it is rejected here too
+        if not np.all((entries >= -1e-12) & (entries <= 1 + 1e-12)):
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
         object.__setattr__(self, "entries", np.clip(entries, 0.0, 1.0))
 
     def value(self, prep_label: str, basis_label: str) -> float:
         return float(self.entries[entry_index(prep_label, basis_label)])
 
 
-@dataclass(frozen=True)
-class ReconstructionOptions:
-    step_size: float = 0.2
-    max_iterations: int = 5000
-    tolerance: float = 1e-12
-    projection_rounds: int = 50   # eigendecompositions allowed per projection
-
-    def __post_init__(self):
-        for name in ("step_size", "tolerance"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("max_iterations", "projection_rounds"):
-            value = getattr(self, name)
-            if not (is_count(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+# Projected gradient descent: first step length, iteration cap, the cost
+# change that ends it, and the eigendecompositions allowed per projection.
+STEP_SIZE = 0.2
+MAX_ITERATIONS = 5000
+COST_TOLERANCE = 1e-12
+PROJECTION_ROUNDS = 50
 
 
 @dataclass
@@ -162,15 +154,6 @@ def unitary_executor(u: np.ndarray, visibility: float = 1.0):
     return executor
 
 
-def predict(choi: np.ndarray, prep, basis=None) -> float:
-    """Born probability of one record entry under the channel `choi`."""
-    if basis is None:
-        index = int(prep)
-    else:
-        index = entry_index(prep, basis) if isinstance(prep, str) else prep * 6 + basis
-    return float(np.einsum("ij,ji->", _COEFFS[index], np.asarray(choi)).real)
-
-
 def predict_all(choi: np.ndarray) -> np.ndarray:
     """All 36 Born probabilities in canonical order."""
     return np.einsum("kij,ji->k", _COEFFS, np.asarray(choi)).real
@@ -181,7 +164,7 @@ _DIRECTIONS = np.stack([np.kron(sigma, IDENTITY) for sigma in PAULI_BASIS])
 _TP_TOLERANCE = 1e-13   # on ||Tr_out X - I||_F, scaled by max(1, ||C||_F)
 
 
-def project_cptp(c: np.ndarray, rounds: int = 50, *,
+def project_cptp(c: np.ndarray, rounds: int = PROJECTION_ROUNDS, *,
                  counts: Optional[list] = None) -> np.ndarray:
     """Frobenius projection of the Hermitian part of c onto the CPTP set.
 
@@ -263,7 +246,7 @@ def _newton_step(eigenvalues, positive, clipped, blocks, defect):
     return step if np.all(np.isfinite(step)) else None
 
 
-def reconstruct(record: MeasurementRecord, opts: ReconstructionOptions = ReconstructionOptions()):
+def reconstruct(record: MeasurementRecord):
     """Projected gradient descent onto the CPTP set; returns (choi, diagnostics)."""
     targets = record.entries
     c = np.eye(4, dtype=complex) / 2.0  # maximally mixed channel, trace 2
@@ -277,14 +260,14 @@ def reconstruct(record: MeasurementRecord, opts: ReconstructionOptions = Reconst
     converged = False
     iterations = 0
     eighs = []   # one entry per project_cptp call
-    for iterations in range(1, opts.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         residual = predict_all(c) - targets
         gradient = np.einsum("k,kij->ij", 2.0 * residual, _COEFFS)
         gradient = 0.5 * (gradient + dagger(gradient))
-        step = opts.step_size
+        step = STEP_SIZE
         improved = False
         for _ in range(60):
-            trial = project_cptp(c - step * gradient, opts.projection_rounds, counts=eighs)
+            trial = project_cptp(c - step * gradient, counts=eighs)
             trial_cost = cost_of(trial)
             if trial_cost <= cost:
                 improved = True
@@ -296,7 +279,7 @@ def reconstruct(record: MeasurementRecord, opts: ReconstructionOptions = Reconst
         change = cost - trial_cost
         c, cost = trial, trial_cost
         history.append(cost)
-        if change < opts.tolerance:
+        if change < COST_TOLERANCE:
             converged = True
             break
     c = validate_choi(c, "reconstructed Choi matrix")

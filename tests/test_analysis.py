@@ -10,7 +10,7 @@ from fluxqubit import datafiles as df
 from fluxqubit import demux as dx
 
 
-def test_sinusoid_recovery_noiseless():
+def test_rabi_trace_recovery_noiseless():
     # Rabi-style trace: 12.30 MHz = 0.01230 GHz on a ns time grid
     t = np.linspace(0, 300, 241)
     y = 0.5 - 0.5 * np.cos(2 * np.pi * 0.01230 * t)
@@ -30,13 +30,16 @@ def test_cosine_fringe_recovery_noiseless():
     assert abs(fit["A"] - 0.45) < 1e-9
 
 
-def test_sinusoid_model_form():
+def test_sine_fits_as_a_cosine_fringe_shifted_by_a_quarter_turn():
     t = np.linspace(0, 10, 101)
     y = 0.8 * np.sin(2 * np.pi * 0.31 * t + 1.1) - 0.2
-    fit = an.fit_nlls("sinusoid", t, y)
+    fit = an.fit_nlls("cosine_fringe", t, y)
     assert fit.converged
     assert abs(fit["f"] - 0.31) < 1e-9
-    assert abs(np.remainder(fit["phi"] - 1.1 + np.pi, 2 * np.pi) - np.pi) < 1e-6
+    assert abs(fit["A"] - 0.8) < 1e-9 and abs(fit["C"] + 0.2) < 1e-9
+    # sin(u + 1.1) = cos(u + 1.1 - pi/2)
+    phase = fit["phi"] - (1.1 - np.pi / 2)
+    assert abs(np.remainder(phase + np.pi, 2 * np.pi) - np.pi) < 1e-6
 
 
 def test_exp_decay_recovery_noiseless():
@@ -168,16 +171,6 @@ def test_allan_rejects_bad_taus_and_spacing():
     bad_t[50] += 0.5
     with pytest.raises(ValueError):
         an.allan_deviation(bad_t, y, [1.0])
-
-
-def test_percentile_basic_and_masked():
-    values = np.arange(101, dtype=float)
-    assert an.percentile(values, 90) == 90.0
-    assert an.percentile([7.0], 25) == 7.0
-    mask = values > 50
-    assert an.percentile(values, 100, exclude=mask) == 50.0
-    with pytest.raises(ValueError):
-        an.percentile(values, 50, exclude=np.ones(101, dtype=bool))
 
 
 def direct_spectrum_peak(x, y, oversample=8):

@@ -21,10 +21,10 @@ def analytic_depolarizing_p(lam: float) -> float:
     return total / 24
 
 
-def synthetic_record(lengths, a, p, b, kind="rb", exponent_shift=0):
+def synthetic_record(lengths, a, p, b, exponent_shift=0):
     values = [[a * p ** (m - exponent_shift) + b] for m in lengths]
     stamps = [[0.0] for _ in lengths]
-    return rb.DecayRecord(tuple(lengths), values, stamps, kind=kind)
+    return rb.DecayRecord(tuple(lengths), values, stamps)
 
 
 def test_config_validation():
@@ -183,7 +183,7 @@ def test_pb_and_rb_total_error_agree_on_same_data():
 
 def test_fit_pb_recovers_published_parameters_exactly():
     lengths = rb.log_spaced_lengths(1, 3000, 28)
-    record = synthetic_record(lengths, 0.85, 0.99798, 0.09, kind="pb", exponent_shift=1)
+    record = synthetic_record(lengths, 0.85, 0.99798, 0.09, exponent_shift=1)
     fit = rb.fit_pb(record)
     assert abs(fit.a - 0.85) < 1e-9
     assert abs(fit.u - 0.99798) < 1e-9

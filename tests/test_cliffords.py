@@ -1,7 +1,5 @@
-import re
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,26 +183,6 @@ def test_compile_random_sequences_against_matrix_product():
         ) < 1e-8
 
 
-def test_sequence_file_round_trip(tmp_path):
-    rng = np.random.default_rng(16)
-    rows = []
-    for _ in range(5):
-        seq = [GATES[i] for i in rng.integers(24, size=rng.integers(0, 8))]
-        rows.append((tuple(seq), cl.recovery_gate(seq)))
-    path = tmp_path / "sequences.txt"
-    cl.write_sequences(path, rows)
-    loaded = cl.read_sequences(path)
-    assert len(loaded) == len(rows)
-    for (seq, rec), (seq2, rec2) in zip(rows, loaded):
-        assert [g.index for g in seq] == [g.index for g in seq2]
-        assert rec == rec2
-
-
-def test_parse_sequence_line_requires_separator():
-    with pytest.raises(ValueError):
-        cl.parse_sequence_line("1 2 3")
-
-
 def test_compile_frames_are_exact():
     # the frame is counted in quarter turns, so no float drift builds up
     rng = np.random.default_rng(2000)
@@ -230,21 +208,3 @@ def test_compile_cliffords_matches_decompose_then_compile(indices, quarters, see
     assert outgoing in range(4) and cl.QUARTER_TURNS[outgoing] == expected.frame_phase
     # one array-`high` draw leaves the generator where per-element draws do
     assert rng.bit_generator.state == reference_rng.bit_generator.state
-
-
-@pytest.mark.parametrize("line, token", [
-    ("-1 2 | 21", "-1"),
-    ("24 | 0", "24"),
-    ("12 | -3", "-3"),
-    ("2 2.0 | 0", "2.0"),
-    ("12 | 13 0", "13 0"),
-])
-def test_parse_sequence_line_rejects_indices_outside_the_group(line, token):
-    with pytest.raises(ValueError, match=re.escape(repr(token))):
-        cl.parse_sequence_line(line)
-
-
-def test_parse_sequence_line_rejects_a_wrong_recovery():
-    assert cl.parse_sequence_line("12 | 13") == ((GATES[12],), GATES[13])
-    with pytest.raises(ValueError, match="does not invert"):
-        cl.parse_sequence_line("12 | 12")

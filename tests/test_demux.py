@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -161,6 +162,14 @@ def test_compiled_gates_match_ideal_unitaries():
         assert err < 1e-3, (gate, err)
 
 
+@pytest.mark.parametrize("field", ["delta_i_res", "t_pi", "axis_period", "phase_offset"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_calibration_rejects_constants_that_are_not_finite(field, value):
+    constants = dict(delta_i_res=5.4, t_pi=40.65, axis_period=9.9, phase_offset=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        dx.Calibration(**{**constants, field: value})
+
+
 def test_first_available_delay_for_90_degree_axis():
     # axis period 9.52 ns and a fitted fringe phase put the +90-degree
     # delays at {1, 10.5, 20, ...} ns
@@ -220,20 +229,6 @@ def test_executor_preparation_uses_flux_pulses():
     u = dx.sequence_unitary(p, seq, drive_amplitude=DRIVE, dt=0.05)
     rho = u @ dx.GROUND_STATE @ u.conj().T
     assert abs(np.trace(rho @ qc.SIGMA_X).real - 1.0) < 5e-3
-
-
-def test_calibration_file_round_trip(tmp_path):
-    from fluxqubit import datafiles as df
-
-    cal = dx.Calibration(delta_i_res=5.407, t_pi=40.653, axis_period=9.901,
-                         phase_offset=0.0123)
-    path = tmp_path / "calibration.txt"
-    path.write_text(df.format_calibration(cal), encoding="utf-8")
-    loaded = df.parse_calibration(path.read_text(encoding="utf-8"))
-    assert loaded["delta_i_res_uA"] == cal.delta_i_res
-    assert loaded["t_pi_ns"] == cal.t_pi
-    assert loaded["axis_period_ns"] == cal.axis_period
-    assert loaded["phase_offset_rad"] == cal.phase_offset
 
 
 def test_calibrate_amplitude_treats_fit_errors_as_zero_contrast(monkeypatch):

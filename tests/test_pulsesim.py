@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from fluxqubit.qcore import purity
 # Device constants fitted to the published frequency-current anchor points
 SWAP_DEVICE = dict(
     f_max=4.82572, i_offset=87.4813, i_period=450.5737, i_idle=32.0,
-    f_cw=4.644, rabi_per_volt=17.571428571428573, readout_f=5.032,
+    f_cw=4.644, rabi_per_volt=17.571428571428573,
 )
 
 
@@ -205,6 +207,36 @@ def test_schedule_validation():
 def test_flux_distortion_rejects_invalid_parameters(kwargs, message):
     with pytest.raises(ValueError, match=message):
         ps.FluxDistortion(**kwargs)
+
+
+@pytest.mark.parametrize("values", [
+    (math.nan, 0.0, 10.0, 0.0), (1.0, math.nan, 10.0, 0.0), (1.0, -math.inf, 10.0, 0.0),
+    (1.0, 0.0, math.inf, 0.0), (1.0, 0.0, 10.0, math.nan), (1.0, 0.0, 10.0, math.inf),
+])
+def test_flux_pulse_rejects_values_that_are_not_finite(values):
+    with pytest.raises(ValueError, match="finite"):
+        ps.FluxPulse(*values)
+
+
+@pytest.mark.parametrize("total_duration", [-5.0, math.nan, math.inf])
+def test_schedule_rejects_a_window_that_is_not_finite_and_non_negative(total_duration):
+    with pytest.raises(ValueError, match="total_duration"):
+        ps.PulseSchedule((), total_duration)
+
+
+def test_undershoot_tail_mirrors_the_overshoot():
+    schedule = ps.PulseSchedule((ps.FluxPulse(2.0, 5.0, 10.0),), 60.0)
+
+    def segments(settle_amplitude):
+        distortion = ps.FluxDistortion(settle_amplitude=settle_amplitude, settle_tau_ns=5.0)
+        return ps.segments_from_schedule(schedule, distortion)
+
+    over, under = segments(0.02), segments(-0.02)
+    assert len(over) == 9  # gap, flat top, six tail chunks, trailing gap
+    assert [s.duration for s in under] == [s.duration for s in over]
+    assert [(s.di_start, s.di_end, s.drive) for s in under[2:8]] == [
+        (-s.di_start, -s.di_end, s.drive) for s in over[2:8]]
+    assert all(s.di_start < 0 for s in under[2:8])
 
 
 def test_measure_formula_and_fixed_point():

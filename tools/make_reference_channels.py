@@ -54,19 +54,25 @@ def build_channel(gate, tilt_axis, tilt_angle, gamma):
     return choi_from_kraus([k @ tilt @ u for k in damping_kraus(gamma)])
 
 
+def reference_choi(gate, target, tilt_axis, tilt_angle, gamma):
+    """The mixed Choi matrix of one recipe: its average gate fidelity is `target`."""
+    base = build_channel(gate, tilt_axis, tilt_angle, gamma)
+    f_base = average_gate_fidelity(base, IDEAL_GATES[gate])
+    if f_base <= target:
+        raise ValueError(f"{gate}: base fidelity {f_base:.4f} below target {target}")
+    # fidelity is affine in the depolarizing admixture eta
+    eta = (f_base - target) / (f_base - 0.5)
+    choi = (1 - eta) * base + eta * np.eye(4, dtype=complex) / 2
+    achieved = average_gate_fidelity(choi, IDEAL_GATES[gate])
+    assert abs(achieved - target) < 1e-12, (gate, achieved)
+    return choi
+
+
 def main():
     out_dir = pathlib.Path(__file__).resolve().parents[1] / "src" / "fluxqubit" / "data"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for gate, target, axis, angle, gamma in RECIPES:
-        base = build_channel(gate, axis, angle, gamma)
-        f_base = average_gate_fidelity(base, IDEAL_GATES[gate])
-        if f_base <= target:
-            raise SystemExit(f"{gate}: base fidelity {f_base:.4f} below target {target}")
-        # fidelity is affine in the depolarizing admixture eta
-        eta = (f_base - target) / (f_base - 0.5)
-        choi = (1 - eta) * base + eta * np.eye(4, dtype=complex) / 2
-        achieved = average_gate_fidelity(choi, IDEAL_GATES[gate])
-        assert abs(achieved - target) < 1e-12, (gate, achieved)
+    for recipe in RECIPES:
+        gate, target = recipe[:2]
         path = out_dir / FILENAMES[gate]
         header = (
             f"# reference process matrix for gate {gate} (trace-2 Choi form)\n"
@@ -74,8 +80,8 @@ def main():
             f"# synthesized by tools/make_reference_channels.py "
             f"(coherent tilt + damping + depolarizing mix)\n"
         )
-        path.write_text(header + format_matrix(choi), encoding="utf-8")
-        print(f"{gate}: eta={eta:.6f} fidelity={achieved:.10f} -> {path.name}")
+        path.write_text(header + format_matrix(reference_choi(*recipe)), encoding="utf-8")
+        print(f"{gate}: fidelity {target:.4f} -> {path.name}")
 
 
 if __name__ == "__main__":
