@@ -25,9 +25,11 @@ Both paths give the true P_g, and qcore.read_out applies the visibility and
 the shots.
 
 The temporal-stability run refits a moving window of iterations around each
-iteration.  All windows are fitted in one row-batched `fit_nlls_rows` call,
-each started from the fit of the mean over all iterations (the common
-start), and the per-window fits are returned with the series.
+iteration.  Under the survival shortcut it sums each string's pulse count
+from a table instead of compiling it, bit-identically.  All windows are
+fitted in one row-batched `fit_nlls_rows` call, each started from the fit of
+the mean over all iterations (the common start), and the per-window fits are
+returned with the series.
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import ConsistencyError, FitError, check_shots, is_count, wrap_error
+from . import ConsistencyError, FitError, check_shots, cliffords, is_count, wrap_error
 from .analysis import FitResult, fit_nlls, fit_nlls_rows
 from .cliffords import (
     QUARTER_TURNS,
     PhysicalPulseList,
     compile_cliffords,
-    compile_virtual_z,  # unused here; perfbench's tracer wraps benchmarking.compile_virtual_z
-    decompose,          # and benchmarking.decompose, so both names stay
+    compile_virtual_z,  # not called here: perfbench's tracer looks both names up in
+    decompose,          # this module to wrap them, so they stay importable from it
     enumerate_cliffords,
     recovery_gate,
 )
@@ -55,6 +57,14 @@ from .qcore import (bloch_rotation, check_coherence_times, ptm_from_unitary, ptm
                     read_out, relaxation_factors, relaxation_ptm)
 
 _GATES = enumerate_cliffords()
+# Group tables as arrays; per element, its decomposition count and the pulse
+# count of each choice (frame-independent; unused choices count 0).
+_MUL_TABLE = np.array(cliffords._MUL, np.uint8)
+_INV_TABLE = np.array(cliffords._INV, np.uint8)
+_CHOICES = np.array([len(options) for options in cliffords._STEPS], np.uint8)
+_PULSE_COUNTS = np.array([[len(option[0][0]) for option in options]
+                          + [0] * (_CHOICES.max() - len(options))
+                          for options in cliffords._STEPS], np.uint8)
 SECONDS_PER_ITERATION = 30.0  # stability-run time stamps: one iteration every 30 s
 
 
@@ -400,31 +410,67 @@ class StabilitySeries:
     fits: tuple = ()         # the FitResult of each iteration's window
 
 
+def _stability_survival(backend, config: RBConfig, iterations: int) -> np.ndarray:
+    """The (iteration, length) P_g matrix.  Under the survival shortcut each
+    length is drawn, folded, checked and pulse-counted for all iterations at
+    once, each string's generator called as in the per-string loop."""
+    survival = np.empty((iterations, len(config.lengths)))
+    if not backend.supports_survival_shortcut:
+        for j in range(iterations):
+            for i_m, m in enumerate(config.lengths):
+                rng = _sequence_rng(config.seed, "stability", j, i_m)
+                compiled = compile_sequence(*draw_sequence(m, rng), rng)
+                survival[j, i_m] = _measure(backend, compiled.pulses, config.shots, rng,
+                                            f"iteration {j}, length {m}")
+        return survival
+    for i_m, m in enumerate(config.lengths):
+        rngs = [_sequence_rng(config.seed, "stability", j, i_m) for j in range(iterations)]
+        strings = np.empty((iterations, m + 1), np.uint8)  # m elements, then the recovery
+        for row, rng in zip(strings, rngs):
+            row[:m] = rng.integers(24, size=m)  # int64: a dtype= argument changes the stream
+        total = functools.reduce(lambda t, column: _MUL_TABLE[t, column], strings[:, :m].T,
+                                 np.zeros(iterations, np.uint8))
+        strings[:, m] = _INV_TABLE[total]
+        if _MUL_TABLE[total, strings[:, m]].any():
+            raise ConsistencyError("sequence plus recovery is not the identity")
+        options = _CHOICES[strings]
+        several = options > 1
+        choices = np.zeros_like(strings)  # as compile_cliffords draws them, per string
+        highs = np.split(options[several], np.cumsum(several.sum(axis=1))[:-1])
+        choices[several] = np.concatenate(
+            [rng.integers(h.tolist()) if h.size else h for rng, h in zip(rngs, highs)])
+        counts = _PULSE_COUNTS[strings, choices].sum(axis=1).tolist()
+        for j, (rng, count) in enumerate(zip(rngs, counts)):
+            try:
+                survival[j, i_m] = read_out(backend.survival_probability(count),
+                                            backend.visibility, config.shots, rng)
+            except Exception as exc:
+                raise wrap_error(exc, f"backend failed at iteration {j}, length {m}: "
+                                      f"{exc}") from exc
+        del rngs  # free this length's generators before the next length's are made
+    return survival
+
+
 def temporal_stability(backend, config: RBConfig, iterations: int,
                        window: int) -> StabilitySeries:
     """Repeated single-sequence RB with a moving-window refit per iteration.
 
     Each iteration measures one random sequence per length; the fidelity at
     iteration j comes from refitting the window of `window` iterations
-    centered on j (truncated symmetrically at the edges).  All windows are
-    fitted in one row-batched solve, each started from the fit of the mean
-    over all iterations.  Windows whose fit did not converge (typically a
-    few shot-noisy edge windows) keep their F, and one warning names them.
+    centered on j (truncated symmetrically at the edges); under the survival
+    shortcut, P_g comes from table pulse counts (see _stability_survival).
+    All windows are fitted in one row-batched solve, each started from the
+    fit of the mean over all iterations.  Windows whose fit did not converge
+    (typically a few shot-noisy edge windows) keep their F, and one warning
+    names them.
     """
     if not (is_count(window) and window >= 1 and window % 2 == 1):
         raise ValueError(f"window must be an odd integer of at least 1, got {window!r}")
     if not (is_count(iterations) and iterations >= window):
         raise ValueError(f"iterations must be an integer of at least window = {window}, "
                          f"got {iterations!r}")
-    lengths = config.lengths
-    survival = np.empty((iterations, len(lengths)))
-    for j in range(iterations):
-        for i_m, m in enumerate(lengths):
-            rng = _sequence_rng(config.seed, "stability", j, i_m)
-            compiled = compile_sequence(*draw_sequence(m, rng), rng)
-            survival[j, i_m] = _measure(backend, compiled.pulses, config.shots, rng,
-                                        f"iteration {j}, length {m}")
-    m_arr = np.asarray(lengths, dtype=float)
+    survival = _stability_survival(backend, config, iterations)
+    m_arr = np.asarray(config.lengths, dtype=float)
     half = window // 2
     spans = [min(half, j, iterations - 1 - j) for j in range(iterations)]
     means = np.array([survival[j - h:j + h + 1].mean(axis=0) for j, h in enumerate(spans)])

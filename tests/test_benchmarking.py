@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxqubit import ConsistencyError
 from fluxqubit import analysis as an
 from fluxqubit import benchmarking as rb
 from fluxqubit import cliffords as cl
@@ -455,17 +456,22 @@ def test_timestamps_count_sequences_in_run_order():
     assert pb.purity.timestamps == pb.survival.timestamps == expected
 
 
-def sequential_stability_fidelities(backend, config, iterations, window):
-    """The moving-window refit as a chain of single fits, each window
-    warm-started from the previous one's parameters (the reference)."""
-    lengths = config.lengths
-    survival = np.empty((iterations, len(lengths)))
+def loop_survival(backend, config, iterations):
+    """The stability P_g matrix string by string: draw, compile, measure."""
+    survival = np.empty((iterations, len(config.lengths)))
     for j in range(iterations):
-        for i_m, m in enumerate(lengths):
+        for i_m, m in enumerate(config.lengths):
             rng = rb._sequence_rng(config.seed, "stability", j, i_m)
             compiled = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)
             survival[j, i_m] = rb._measure(backend, compiled.pulses, config.shots, rng, "")
-    m_arr = np.asarray(lengths, dtype=float)
+    return survival
+
+
+def sequential_stability_fidelities(backend, config, iterations, window):
+    """The moving-window refit as a chain of single fits, each window
+    warm-started from the previous one's parameters (the reference)."""
+    survival = loop_survival(backend, config, iterations)
+    m_arr = np.asarray(config.lengths, dtype=float)
     half = window // 2
     fidelities = np.empty(iterations)
     converged = np.empty(iterations, dtype=bool)
@@ -543,6 +549,55 @@ def test_converged_stability_windows_raise_no_warning():
         warnings.simplefilter("error")
         series = rb.temporal_stability(backend, config, iterations=60, window=11)
     assert all(fit.converged for fit in series.fits)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), shots=st.one_of(st.none(), st.integers(1, 500)),
+       visibility=st.floats(0.05, 1.0), depolarizing=st.floats(0.0, 0.05),
+       middle=st.sets(st.integers(2, 299), max_size=4), longest=st.integers(300, 450),
+       iterations=st.integers(1, 6))
+def test_table_stability_survival_is_the_string_loop_bit_for_bit(
+        seed, shots, visibility, depolarizing, middle, longest, iterations):
+    backend = rb.ChannelBackend(rb.GateNoiseModel(depolarizing_prob=depolarizing), visibility)
+    config = rb.RBConfig(lengths=sorted({1, longest} | middle), sequences_per_length=1,
+                         shots=shots, seed=seed)
+    assert backend.supports_survival_shortcut
+    table = rb._stability_survival(backend, config, iterations)
+    assert table.tobytes() == loop_survival(backend, config, iterations).tobytes()
+
+
+def test_shortcut_stability_takes_the_table_path(monkeypatch):
+    def no_strings(*args):
+        raise AssertionError("a string was drawn or compiled one by one")
+
+    monkeypatch.setattr(rb, "draw_sequence", no_strings)
+    monkeypatch.setattr(rb, "compile_sequence", no_strings)
+    backend, config = _stability_setup(None)
+    rb.temporal_stability(backend, config, iterations=11, window=11)
+
+
+def test_corrupted_inverse_table_fails_the_all_strings_identity_check(monkeypatch):
+    monkeypatch.setattr(rb, "_INV_TABLE", np.roll(rb._INV_TABLE, 1))
+    backend, config = _stability_setup(None)
+    with pytest.raises(ConsistencyError, match="not the identity"):
+        rb.temporal_stability(backend, config, iterations=11, window=11)
+
+
+def test_shortcut_failure_on_the_table_path_names_where():
+    class FailingShortcut(rb.ChannelBackend):
+        calls = 0
+
+        def survival_probability(self, pulse_count):
+            self.calls += 1
+            if self.calls == 5:  # lengths in order, all iterations of each
+                raise ArithmeticError("broken")
+            return super().survival_probability(pulse_count)
+
+    config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=1, seed=1)
+    with pytest.raises(ArithmeticError, match="iteration 1, length 2: broken") as info:
+        rb.temporal_stability(FailingShortcut(), config, iterations=3, window=3)
+    assert type(info.value) is ArithmeticError
+    assert type(info.value.__cause__) is ArithmeticError and str(info.value.__cause__) == "broken"
 
 
 def test_pulse_backend_and_engine_share_one_relaxation_map():

@@ -15,6 +15,11 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from fluxqubit.datafiles import (  # noqa: E402
+    _REFERENCE_FILES,
+    REFERENCE_FIDELITIES,
+    REFERENCE_GATES,
+)
 from fluxqubit.qcore import (  # noqa: E402
     average_gate_fidelity,
     bloch_rotation,
@@ -23,21 +28,14 @@ from fluxqubit.qcore import (  # noqa: E402
 )
 from fluxqubit.tomography import IDEAL_GATES  # noqa: E402
 
-# (gate, target average fidelity, tilt axis, tilt angle rad, damping gamma)
-RECIPES = [
-    ("X90", 0.9565, (0, 0, 1), 0.06, 0.015),
-    ("Y-90", 0.9623, (1, 0, 0), 0.05, 0.012),
-    ("T", 0.9375, (0, 1, 0), 0.08, 0.020),
-    ("S", 0.8893, (1, 1, 0), 0.10, 0.025),
-    ("H", 0.9136, (0, 1, 1), 0.09, 0.018),
-]
-
-FILENAMES = {
-    "X90": "choi_x90.txt",
-    "Y-90": "choi_ym90.txt",
-    "T": "choi_t.txt",
-    "S": "choi_s.txt",
-    "H": "choi_h.txt",
+# gate -> (tilt axis, tilt angle rad, damping gamma); the target average
+# fidelities and file names are datafiles.REFERENCE_FIDELITIES and _REFERENCE_FILES
+RECIPES = {
+    "X90": ((0, 0, 1), 0.06, 0.015),
+    "Y-90": ((1, 0, 0), 0.05, 0.012),
+    "T": ((0, 1, 0), 0.08, 0.020),
+    "S": ((1, 1, 0), 0.10, 0.025),
+    "H": ((0, 1, 1), 0.09, 0.018),
 }
 
 
@@ -54,9 +52,11 @@ def build_channel(gate, tilt_axis, tilt_angle, gamma):
     return choi_from_kraus([k @ tilt @ u for k in damping_kraus(gamma)])
 
 
-def reference_choi(gate, target, tilt_axis, tilt_angle, gamma):
-    """The mixed Choi matrix of one recipe: its average gate fidelity is `target`."""
-    base = build_channel(gate, tilt_axis, tilt_angle, gamma)
+def reference_choi(gate):
+    """The mixed Choi matrix of one recipe: its average gate fidelity is the
+    gate's REFERENCE_FIDELITIES target."""
+    target = REFERENCE_FIDELITIES[gate]
+    base = build_channel(gate, *RECIPES[gate])
     f_base = average_gate_fidelity(base, IDEAL_GATES[gate])
     if f_base <= target:
         raise ValueError(f"{gate}: base fidelity {f_base:.4f} below target {target}")
@@ -71,16 +71,16 @@ def reference_choi(gate, target, tilt_axis, tilt_angle, gamma):
 def main():
     out_dir = pathlib.Path(__file__).resolve().parents[1] / "src" / "fluxqubit" / "data"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for recipe in RECIPES:
-        gate, target = recipe[:2]
-        path = out_dir / FILENAMES[gate]
+    for gate in REFERENCE_GATES:
+        target = REFERENCE_FIDELITIES[gate]
+        path = out_dir / _REFERENCE_FILES[gate]
         header = (
             f"# reference process matrix for gate {gate} (trace-2 Choi form)\n"
             f"# average gate fidelity vs ideal {gate}: {target:.4f}\n"
             f"# synthesized by tools/make_reference_channels.py "
             f"(coherent tilt + damping + depolarizing mix)\n"
         )
-        path.write_text(header + format_matrix(reference_choi(*recipe)), encoding="utf-8")
+        path.write_text(header + format_matrix(reference_choi(gate)), encoding="utf-8")
         print(f"{gate}: fidelity {target:.4f} -> {path.name}")
 
 
