@@ -6,17 +6,18 @@ the virtual Z content away, execute the physical pulses on a backend, and
 estimate the ground-state return probability P_g.  Averaged over N random
 sequences, P_g(m) decays as A p^m + B and the average gate fidelity follows
 from p (decompose and compile are one `cliffords.compile_cliffords` walk).
-PB runs each sequence three times with an extra final analysis rotation to
-estimate <sx>, <sy>, <sz> and tracks the purity decay A' u^(m-1) + B'
-instead; the incoherent error is (1 - sqrt(u)) / 2.  It compiles the base
-string once and each analysis rotation from the base's outgoing frame.
+PB reads each sequence's final state three times, plain and after an extra
+analysis rotation, to estimate <sx>, <sy>, <sz> and tracks the purity decay
+A' u^(m-1) + B'; the incoherent error is (1 - sqrt(u)) / 2.  It compiles
+(and, given `channel`, multiplies) the base string once and each analysis
+rotation from the base's outgoing frame and state.
 
 Backends implement `run(pulses, shots, rng) -> P_g estimate` where pulses
 are (rotation amount, axis angle) pairs.  Both bundled backends turn each
 distinct pulse into one memoised, read-only 4x4 Pauli transfer matrix (PTM)
-and multiply a string's maps by a pairwise tree reduce; P_g is read from the
-product applied to |g>.  Virtual-Z compilation emits only 12 distinct
-pulses, so the cache stays small.  The channel backend's PTM is a rotation
+and multiply a string's maps by a pairwise tree reduce (`channel`); P_g is
+read from the product applied to |g>.  Virtual-Z compilation emits only 12
+distinct pulses, so the cache stays small.  The channel backend's PTM is a rotation
 with over-rotation and axis error, then depolarizing, then amplitude
 damping; the pulse backend's is an ideal rotation, then fixed-duration T1
 damping and dephasing.  Depolarizing-only noise takes a closed-form
@@ -51,7 +52,6 @@ from .cliffords import (
     compile_virtual_z,  # not called here: perfbench's tracer looks both names up in
     decompose,          # this module to wrap them, so they stay importable from it
     enumerate_cliffords,
-    recovery_gate,
 )
 from .qcore import (bloch_rotation, check_coherence_times, ptm_from_unitary, ptm_product,
                     read_out, relaxation_factors, relaxation_ptm)
@@ -92,6 +92,9 @@ class RBConfig:
 
 def log_spaced_lengths(start: int, stop: int, count: int) -> tuple:
     """Logarithmically spaced integer lengths with duplicates removed."""
+    for name, value, low in (("start", start, 1), ("stop", stop, start), ("count", count, 1)):
+        if not (is_count(value) and value >= low):
+            raise ValueError(f"{name} must be a whole number of at least {low}, got {value!r}")
     grid = np.unique(np.round(np.logspace(np.log10(start), np.log10(stop), count)))
     return tuple(int(m) for m in grid)
 
@@ -152,6 +155,14 @@ def _pulse_ptm(angle, axis_angle, depolarizing, gamma, decay) -> np.ndarray:
     return ptm
 
 
+_GROUND = np.array([1.0, 0.0, 0.0, 1.0])  # Pauli vector of |g>
+
+
+def _read_ground(state, visibility: float, shots, rng) -> float:
+    """P_g estimate of the Pauli vector `state`: (I + Z) / 2 through read_out."""
+    return read_out(0.5 * (state[0] + state[3]), visibility, shots, rng)
+
+
 class _PTMBackend:
     """Composes one cached PTM per pulse (subclasses supply `pulse_ptm`)."""
 
@@ -162,13 +173,16 @@ class _PTMBackend:
             raise ValueError("visibility must be in (0, 1]")
         self.visibility = visibility
 
-    def run(self, pulses, shots: Optional[int], rng: np.random.Generator) -> float:
-        """P_g estimate after `pulses` (amount, axis angle), starting in |g>."""
+    def channel(self, pulses) -> np.ndarray:
+        """4x4 PTM of `pulses` (amount, axis angle), applied first to last."""
         distinct = {}  # pulse -> row of `table`; a compiled string has at most 12
         rows = [distinct.setdefault(pulse, len(distinct)) for pulse in pulses]
         table = np.array([self.pulse_ptm(*pulse) for pulse in distinct]).reshape(-1, 4, 4)
-        r = ptm_product(table[rows]) @ (1.0, 0.0, 0.0, 1.0)  # Pauli vector of |g>
-        return read_out(0.5 * (r[0] + r[3]), self.visibility, shots, rng)
+        return ptm_product(table[rows])
+
+    def run(self, pulses, shots: Optional[int], rng: np.random.Generator) -> float:
+        """P_g estimate after `pulses` (amount, axis angle), starting in |g>."""
+        return _read_ground(self.channel(pulses) @ _GROUND, self.visibility, shots, rng)
 
 
 class ChannelBackend(_PTMBackend):
@@ -221,11 +235,14 @@ class PulseBackend(_PTMBackend):
 
 def draw_sequence(m: int, rng: np.random.Generator):
     """m random group elements plus their recovery, identity-checked."""
-    gates = tuple(map(_GATES.__getitem__, rng.integers(24, size=m).tolist()))
-    recovery = recovery_gate(gates)
-    if recovery_gate(list(gates) + [recovery]).index != 0:
+    indices = rng.integers(24, size=m).tolist()
+    mul, total = cliffords._MUL, 0
+    for i in indices:
+        total = mul[total][i]
+    recovery = cliffords._INV[total]
+    if mul[total][recovery] != 0:
         raise ConsistencyError("sequence plus recovery is not the identity")
-    return gates, recovery
+    return tuple(map(_GATES.__getitem__, indices)), _GATES[recovery]
 
 
 def compile_sequence(gates, recovery, rng: np.random.Generator) -> PhysicalPulseList:
@@ -280,15 +297,18 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
            bias_corrected: bool = False) -> PBResult:
     """Purity benchmarking via the three-readout scheme.
 
-    Each sequence runs three times (plain, extra R_y(-pi/2), extra
-    R_x(pi/2)) to estimate <sx>, <sy>, <sz>; the purity is their sum of
-    squares.  The plain readings double as an RB survival record, so the
-    total error can be estimated from the same data set.  With
-    `bias_corrected` the unbiased shot-noise variance 4 p_hat (1 - p_hat) /
-    (n - 1) is subtracted from each squared expectation (needs n >= 2 shots).
+    Each sequence's final state is read three times (plain, extra
+    R_y(-pi/2), extra R_x(pi/2)) to estimate <sx>, <sy>, <sz>; the purity is
+    their sum of squares.  A backend with `channel` multiplies the base string
+    once; one with only `run` runs base plus rotation per readout.  The plain
+    readings double as an RB survival record, so the total error can be
+    estimated from the same data set.  With `bias_corrected` the unbiased
+    shot-noise variance 4 p_hat (1 - p_hat) / (n - 1) is subtracted from each
+    squared expectation (needs n >= 2 shots).
     """
     if bias_corrected and config.shots is not None and config.shots < 2:
         raise ValueError("bias_corrected needs at least 2 shots")
+    shared = hasattr(backend, "channel")
     purity_values = [[] for _ in config.lengths]
     survival_values = [[] for _ in config.lengths]
     stamps = [[] for _ in config.lengths]
@@ -297,11 +317,22 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
             rng = _sequence_rng(config.seed, "pb", i_m, j)
             base = compile_sequence(*draw_sequence(m, rng), rng)
             quarters = QUARTER_TURNS.index(base.frame_phase)
+            state = None  # Pauli vector after the base string, made at the z readout
             expectations = {}
             for label, analysis in _ANALYSIS_STEPS:
-                pulses = base.pulses + compile_cliffords(analysis, rng, quarters)[0]
-                p_g = _measure(backend, pulses, config.shots, rng,
-                               f"length {m}, sequence {j} ({label})", shortcut=False)
+                tail = compile_cliffords(analysis, rng, quarters)[0]
+                where = f"length {m}, sequence {j} ({label})"
+                if not shared:
+                    p_g = _measure(backend, base.pulses + tail, config.shots, rng, where,
+                                   shortcut=False)
+                else:
+                    try:
+                        if state is None:
+                            state = backend.channel(base.pulses) @ _GROUND
+                        p_g = _read_ground(backend.channel(tail) @ state if tail else state,
+                                           backend.visibility, config.shots, rng)
+                    except Exception as exc:
+                        raise wrap_error(exc, f"backend failed at {where}: {exc}") from exc
                 expectations[label] = 2.0 * p_g - 1.0
             purity = sum(value**2 for value in expectations.values())
             if bias_corrected and config.shots is not None:

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,6 +75,18 @@ def test_log_spaced_lengths():
     lengths = rb.log_spaced_lengths(1, 5000, 28)
     assert lengths[0] == 1 and lengths[-1] == 5000
     assert all(b > a for a, b in zip(lengths, lengths[1:]))
+
+
+@pytest.mark.parametrize("start, stop, count, name", [
+    (0, 10, 5, "start"), (-3, 10, 4, "start"), (1.5, 10, 3, "start"), (math.nan, 10, 3, "start"),
+    (5, 1, 3, "stop"), (1, 10.5, 3, "stop"),
+    (1, 10, 0, "count"), (1, 10, -2, "count"), (1, 10, 3.0, "count"), (1, 10, True, "count"),
+])
+def test_log_spaced_lengths_rejects_bad_arguments(start, stop, count, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            rb.log_spaced_lengths(start, stop, count)
 
 
 def test_noiseless_rb_returns_unity():
@@ -420,22 +435,68 @@ def test_compiled_sequence_plus_recovery_is_the_identity(m, seed):
     assert phase_aligned_distance(cl.physical_unitary(compiled), np.eye(2)) < 1e-8
 
 
-class _RecordingBackend(rb.ChannelBackend):
-    def __init__(self):
-        super().__init__()
-        self.seen = []
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_draw_sequence_is_the_drawn_elements_and_recovery_gates_recovery(m, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    gates, recovery = rb.draw_sequence(m, rng)
+    assert [g.index for g in gates] == reference.integers(24, size=m).tolist()
+    assert recovery == cl.recovery_gate(gates)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_corrupted_inverse_table_fails_the_draw_sequence_identity_check(monkeypatch):
+    monkeypatch.setattr(cl, "_INV", cl._INV[1:] + cl._INV[:1])  # every entry now wrong
+    for m in (0, 1, 17):
+        with pytest.raises(ConsistencyError, match="not the identity"):
+            rb.draw_sequence(m, np.random.default_rng(m))
+
+
+class _RunOnlyRecorder:
+    """A backend with only `run`, so run_pb takes the per-readout path; it
+    records every string it runs."""
+
+    supports_survival_shortcut = False
+
+    def __init__(self, backend):
+        self.backend, self.seen = backend, []
 
     def run(self, pulses, shots, rng):
         self.seen.append(tuple(pulses))
-        return super().run(pulses, shots, rng)
+        return self.backend.run(pulses, shots, rng)
+
+
+def shared_readouts(backend, config):
+    """run_pb on a backend with `channel` (the shared path): each readout's
+    whole string, rebuilt from what the channel calls composed (the base,
+    then each readout's analysis tail), each readout's P_g, and the result."""
+    composed, values = [], []
+    channel, read_ground = backend.channel, rb._read_ground
+
+    def recording_channel(pulses):
+        composed.append(tuple(pulses))
+        return channel(pulses)
+
+    def recording_read(state, *args):
+        values.append(read_ground(state, *args))
+        return values[-1]
+
+    backend.channel = recording_channel
+    try:
+        with mock.patch.object(rb, "_read_ground", recording_read):
+            result = rb.run_pb(backend, config)
+    finally:
+        del backend.channel
+    strings = []
+    for base, *tails in zip(*[iter(composed)] * len(rb._ANALYSIS_STEPS)):
+        strings += [base] + [base + tail for tail in tails]  # the z readout has no tail
+    return strings, values, result
 
 
 def test_pb_readouts_are_the_base_string_then_each_analysis_rotation():
     # reference: decompose every element and compile each readout's whole
     # string, drawing from the sequence's generator in the same order
-    backend = _RecordingBackend()
     config = rb.RBConfig(lengths=(1, 7, 30), sequences_per_length=3, seed=43)
-    rb.run_pb(backend, config)
     expected = []
     for i_m, m in enumerate(config.lengths):
         for j in range(config.sequences_per_length):
@@ -445,7 +506,56 @@ def test_pb_readouts_are_the_base_string_then_each_analysis_rotation():
             for tail in ((), cl.decompose(cl.clifford(15), rng).gates,
                          cl.decompose(cl.clifford(12), rng).gates):
                 expected.append(cl.compile_virtual_z(cl.PrimitiveSequence(base + tail, -1)).pulses)
-    assert backend.seen == expected
+    noise = rb.GateNoiseModel(2e-3, 1e-3, overrotation=0.02, axis_error=0.01)
+    assert shared_readouts(rb.ChannelBackend(noise), config)[0] == expected
+    run_only = _RunOnlyRecorder(rb.ChannelBackend(noise))
+    rb.run_pb(run_only, config)
+    assert run_only.seen == expected
+    # with shots, each readout's binomial follows its tail's draws on both paths
+    config = dataclasses.replace(config, shots=200)
+    shared = shared_readouts(rb.ChannelBackend(noise), config)[2]
+    per_readout = rb.run_pb(_RunOnlyRecorder(rb.ChannelBackend(noise)), config)
+    assert shared.purity.values == per_readout.purity.values
+    assert shared.survival.values == per_readout.survival.values
+    assert len(set(np.concatenate(shared.survival.values))) > 3  # the shots are not all alike
+
+
+pb_backends = st.one_of(
+    st.builds(lambda d, a, o, x, v: rb.ChannelBackend(rb.GateNoiseModel(d, a, o, x), v),
+              probabilities, probabilities, coherent, coherent, visibilities),
+    st.builds(lambda t1, ratio, tau, v: rb.PulseBackend(t1, t1 * ratio, tau, v),
+              times_us, st.floats(0.05, 2.0), st.floats(1.0, 200.0), visibilities),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(backend=pb_backends, m=st.integers(2, 120), seed=st.integers(0, 2**32 - 1))
+def test_shared_pb_readouts_equal_running_base_plus_tail(backend, m, seed):
+    config = rb.RBConfig(lengths=(1, m), sequences_per_length=2, seed=seed)
+    strings, values, _ = shared_readouts(backend, config)
+    assert len(values) == len(strings) == 2 * 2 * len(rb._ANALYSIS_STEPS)
+    for string, p_g in zip(strings, values):
+        assert abs(p_g - backend.run(string, None, None)) <= 1e-12
+
+
+@pytest.mark.parametrize("failing_call, where", [(1, "length 1, sequence 0 (z)"),
+                                                 (3, "length 1, sequence 0 (y)"),
+                                                 (5, "length 1, sequence 1 (x)")])
+def test_shared_pb_failure_keeps_its_type_and_names_where(failing_call, where):
+    class FailingChannel(rb.ChannelBackend):
+        calls = 0
+
+        def channel(self, pulses):  # per sequence: the base, then the x and y tails
+            self.calls += 1
+            if self.calls == failing_call:
+                raise ArithmeticError("broken")
+            return super().channel(pulses)
+
+    config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=2, seed=1)
+    with pytest.raises(ArithmeticError, match=re.escape(f"{where}: broken")) as info:
+        rb.run_pb(FailingChannel(), config)
+    assert type(info.value) is ArithmeticError
+    assert type(info.value.__cause__) is ArithmeticError and str(info.value.__cause__) == "broken"
 
 
 def test_timestamps_count_sequences_in_run_order():
