@@ -39,6 +39,8 @@ def wrap_error(exc: Exception, message: str) -> Exception:
 
 def is_count(value) -> bool:
     """True for an integer (numpy integers included) that is not a bool."""
+    if type(value) is int:  # fast path: the ABC check below takes about 0.5 us
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

@@ -137,7 +137,8 @@ def _spectrum_kernel(x_bytes: bytes, oversample: int):
     span = np.max(x) - np.min(x)
     if span <= 0:
         raise FitError("cannot estimate a frequency from zero time span")
-    min_spacing = np.min(np.diff(np.sort(np.unique(x))))
+    steps = np.diff(np.sort(x))
+    min_spacing = np.min(steps[steps > 0])
     f_max = 0.5 / min_spacing
     f_min = 0.25 / span
     n_freq = max(16, int(oversample * span * f_max))

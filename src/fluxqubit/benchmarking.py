@@ -95,8 +95,8 @@ def log_spaced_lengths(start: int, stop: int, count: int) -> tuple:
     for name, value, low in (("start", start, 1), ("stop", stop, start), ("count", count, 1)):
         if not (is_count(value) and value >= low):
             raise ValueError(f"{name} must be a whole number of at least {low}, got {value!r}")
-    grid = np.unique(np.round(np.logspace(np.log10(start), np.log10(stop), count)))
-    return tuple(int(m) for m in grid)
+    grid = np.round(np.logspace(np.log10(start), np.log10(stop), count))
+    return tuple(sorted({int(m) for m in grid}))
 
 
 @dataclass(frozen=True)

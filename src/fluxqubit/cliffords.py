@@ -6,10 +6,10 @@ rotations realized as reference-frame phase updates:
 
     I, X180, X90, X-90, Z180, Z90, Z-90
 
-The decomposition table is built once by brute force: every primitive
-string of length <= 3 is multiplied out and matched against the group, and
-the shortest strings per element are stored.  Elements may have several
-minimal decompositions; `decompose` picks uniformly among the stored ones.
+The group is one read-only (24, 2, 2) stack.  Its tables are built and
+checked at import by matching batched products against it: all 576 pairwise
+products, and every primitive string of length <= 3, keeping the shortest
+strings per element.  `decompose` picks uniformly among those.
 
 Virtual-Z frames are integer quarter turns, so `_STEPS`, built at import by
 the one compile rule `_compile_kinds`, holds the pulses and outgoing frame of
@@ -35,8 +35,8 @@ from math import pi
 
 import numpy as np
 
-from . import ConsistencyError
-from .qcore import bloch_rotation, phase_aligned_distance, unitaries_equal
+from . import ConsistencyError, is_count
+from .qcore import bloch_rotation, phase_aligned_distance
 
 PRIMITIVE_KINDS = ("I", "X180", "X90", "X-90", "Z180", "Z90", "Z-90")
 
@@ -56,9 +56,9 @@ _PRIMITIVE_ANGLES = {
 _Z_QUARTERS = {"Z90": 1, "Z180": 2, "Z-90": -1}
 QUARTER_TURNS = (0.0, pi / 2, pi, -pi / 2)  # frame phase of k quarter turns, wrapped
 
-PRIMITIVE_UNITARIES = {
-    kind: bloch_rotation(axis, angle) for kind, (axis, angle) in _PRIMITIVE_ANGLES.items()
-}
+_PRIMITIVES = np.stack([bloch_rotation(*_PRIMITIVE_ANGLES[kind]) for kind in PRIMITIVE_KINDS])
+_PRIMITIVES.flags.writeable = False
+PRIMITIVE_UNITARIES = dict(zip(PRIMITIVE_KINDS, _PRIMITIVES))
 
 # (axis, angle) for all 24 elements, published-table row order, identity
 # first.  The duplicated (0,1,-1) row of the published table is corrected to
@@ -151,26 +151,29 @@ def microwave_pulse_count(kinds) -> int:
 
 
 def _build_group():
-    unitaries = [bloch_rotation(axis, angle) for axis, angle in CLIFFORD_DEFS]
-    for i in range(24):
-        for j in range(i + 1, 24):
-            if unitaries_equal(unitaries[i], unitaries[j]):
-                raise ConsistencyError(f"elements {i} and {j} coincide up to phase")
+    unitaries = np.stack([bloch_rotation(axis, angle) for axis, angle in CLIFFORD_DEFS])
+    unitaries.flags.writeable = False
+    for j, i in enumerate(_match(unitaries, unitaries)):
+        if i != j:
+            raise ConsistencyError(f"elements {i} and {j} coincide up to phase")
     return unitaries
 
 
-def _match_index(u: np.ndarray, unitaries) -> int:
-    for idx, v in enumerate(unitaries):
-        if phase_aligned_distance(u, v) < _MATCH_TOL:
-            return idx
-    raise ConsistencyError("unitary matches no group element; closure is broken")
+def _match(products: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Index of the first element each product equals up to phase, matching
+    24 products at a time to keep the batch small; raises if one has none."""
+    hits = np.concatenate([
+        phase_aligned_distance(products[k:k + 24, None], unitaries) < _MATCH_TOL
+        for k in range(0, len(products), 24)
+    ])
+    if not hits.any(axis=1).all():
+        raise ConsistencyError("unitary matches no group element; closure is broken")
+    return hits.argmax(axis=1)
 
 
 def _build_tables(unitaries):
-    mul = np.empty((24, 24), dtype=np.int8)
-    for i in range(24):
-        for j in range(24):
-            mul[i, j] = _match_index(unitaries[j] @ unitaries[i], unitaries)
+    # entry [i, j] is unitaries[j] @ unitaries[i]: i applied first, then j
+    mul = _match((unitaries @ unitaries[:, None]).reshape(-1, 2, 2), unitaries).reshape(24, 24)
     inv = np.empty(24, dtype=np.int8)
     for i in range(24):
         matches = np.flatnonzero(mul[i] == 0)
@@ -183,17 +186,16 @@ def _build_tables(unitaries):
 def _build_decompositions(unitaries):
     """All minimal primitive strings per element, then the pulse-count pin."""
     found = [[] for _ in range(24)]
-    non_identity = [k for k in PRIMITIVE_KINDS if k != "I"]
     for length in (1, 2, 3):
-        kinds_pool = PRIMITIVE_KINDS if length == 1 else non_identity
-        for kinds in itertools.product(kinds_pool, repeat=length):
-            u = sequence_product(kinds)
-            for idx in range(24):
-                if found[idx] and len(found[idx][0]) < length:
-                    continue
-                if phase_aligned_distance(u, unitaries[idx]) < _MATCH_TOL:
-                    found[idx].append(kinds)
-                    break
+        kinds_pool = PRIMITIVE_KINDS if length == 1 else PRIMITIVE_KINDS[1:]  # I only on its own
+        strings = list(itertools.product(kinds_pool, repeat=length))
+        codes = np.array([[PRIMITIVE_KINDS.index(kind) for kind in kinds] for kinds in strings])
+        products = _PRIMITIVES[codes[:, 0]]
+        for column in codes.T[1:]:
+            products = _PRIMITIVES[column] @ products
+        for kinds, idx in zip(strings, _match(products, unitaries).tolist()):
+            if not found[idx] or len(found[idx][0]) == length:
+                found[idx].append(kinds)
     for idx in _TWO_PULSE_PINNED:
         two_pulse = [k for k in found[idx] if microwave_pulse_count(k) == 2]
         if not two_pulse:
@@ -202,9 +204,9 @@ def _build_decompositions(unitaries):
     for idx, options in enumerate(found):
         if not options:
             raise ConsistencyError(f"element {idx} has no decomposition")
-        for kinds in options:
-            if phase_aligned_distance(sequence_product(kinds), unitaries[idx]) >= _MATCH_TOL:
-                raise ConsistencyError(f"stored decomposition for {idx} does not verify")
+        products = np.stack([sequence_product(kinds) for kinds in options])
+        if (phase_aligned_distance(products, unitaries[idx]) >= _MATCH_TOL).any():
+            raise ConsistencyError(f"stored decomposition for {idx} does not verify")
     return [tuple(options) for options in found]
 
 
@@ -224,6 +226,8 @@ def enumerate_cliffords():
 
 
 def clifford(index: int) -> CliffordGate:
+    if not (is_count(index) and 0 <= index < 24):
+        raise ValueError(f"Clifford index must be a whole number in 0..23, got {index!r}")
     return _GATES[index]
 
 
@@ -282,6 +286,8 @@ def compile_cliffords(indices, rng: np.random.Generator, quarters: int = 0):
     """(pulses, outgoing frame) of a sequence of element indices entered at a
     frame of `quarters` quarter turns: `decompose` per element, then
     `compile_virtual_z`, with the same result and generator state."""
+    if not (is_count(quarters) and 0 <= quarters < 4):
+        raise ValueError(f"quarters must be a whole number in 0..3, got {quarters!r}")
     highs = [len(_STEPS[i]) for i in indices if len(_STEPS[i]) > 1]
     choices = iter(rng.integers(highs).tolist() if highs else ())
     pulses = []

@@ -61,18 +61,18 @@ def is_unitary(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return frobenius(dagger(m) @ m - np.eye(m.shape[0])) < tol
 
 
-def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
+def phase_aligned_distance(u: np.ndarray, v: np.ndarray):
     """Frobenius distance min over phi of ||u - e^{i phi} v||_F.
 
     The optimal phase is the argument of tr(v^dag u); when that trace
     vanishes the two matrices are orthogonal and every phase is optimal.
+    Broadcasts over leading axes: a float for two matrices, an array of
+    distances for stacks.
     """
-    overlap = np.trace(dagger(v) @ u)
-    if abs(overlap) > 0:
-        phase = overlap / abs(overlap)
-    else:
-        phase = 1.0
-    return frobenius(u - phase * v)
+    overlap = np.einsum("...ij,...ij->...", np.conj(v), u)  # tr(v^dag u)
+    diff = u - np.exp(1j * np.angle(overlap))[..., None, None] * v
+    distance = np.sqrt(np.sum(diff.real ** 2 + diff.imag ** 2, axis=(-2, -1)))
+    return float(distance) if distance.ndim == 0 else distance
 
 
 def unitaries_equal(u: np.ndarray, v: np.ndarray, tol: float = PHASE_EQUAL_TOL) -> bool:

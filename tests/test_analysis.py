@@ -173,8 +173,9 @@ def test_allan_rejects_bad_taus_and_spacing():
         an.allan_deviation(bad_t, y, [1.0])
 
 
-def direct_spectrum_peak(x, y, oversample=8):
-    """The uncached direct-sum spectrum peak, kept as the reference."""
+def direct_frequency_grid(x, oversample=8):
+    """The spectrum's frequency grid, spacing taken from np.unique, kept as
+    the reference."""
     span = np.max(x) - np.min(x)
     if span <= 0:
         raise FitError("cannot estimate a frequency from zero time span")
@@ -182,7 +183,12 @@ def direct_spectrum_peak(x, y, oversample=8):
     f_max = 0.5 / min_spacing
     f_min = 0.25 / span
     n_freq = max(16, int(oversample * span * f_max))
-    freqs = np.linspace(f_min, f_max, n_freq)
+    return np.linspace(f_min, f_max, n_freq)
+
+
+def direct_spectrum_peak(x, y, oversample=8):
+    """The uncached direct-sum spectrum peak, kept as the reference."""
+    freqs = direct_frequency_grid(x, oversample)
     centered = y - np.mean(y)
     power = np.abs(np.exp(-2j * np.pi * np.outer(freqs, x)) @ centered)
     return float(freqs[np.argmax(power)])
@@ -216,6 +222,9 @@ def test_cached_spectrum_peak_equals_the_direct_sum(x, oversample, seed):
     expected = direct_spectrum_peak(x, y, oversample)
     assert an.coarse_spectrum_peak(x, y, oversample) == expected
     assert an.coarse_spectrum_peak(x, y, oversample) == expected  # cache hit
+    # repeated points included, the grid equals the np.unique-spacing form
+    freqs, _ = an._spectrum_kernel(x.tobytes(), oversample)
+    assert np.array_equal(freqs, direct_frequency_grid(x, oversample))
 
 
 def test_spectrum_kernel_is_cached_and_read_only():

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -75,6 +79,31 @@ def test_log_spaced_lengths():
     lengths = rb.log_spaced_lengths(1, 5000, 28)
     assert lengths[0] == 1 and lengths[-1] == 5000
     assert all(b > a for a, b in zip(lengths, lengths[1:]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(start=st.integers(1, 60), extra=st.integers(0, 6000), count=st.integers(1, 120))
+def test_log_spaced_lengths_equals_the_unique_form(start, extra, count):
+    # count above stop - start + 1 forces repeated rounded points
+    grid = np.unique(np.round(np.logspace(np.log10(start), np.log10(start + extra), count)))
+    assert rb.log_spaced_lengths(start, start + extra, count) == tuple(int(m) for m in grid)
+
+
+def test_grid_helpers_do_not_import_numpy_ma():
+    # numpy.ma costs about 16 ms and 1.3 MiB at start-up; np.unique pulls it in
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fluxqubit import analysis, benchmarking, demux\n"
+        "benchmarking.log_spaced_lengths(1, 400, 12)\n"
+        "x = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 5.0])\n"
+        "analysis.coarse_spectrum_peak(x, np.cos(x))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(rb.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("start, stop, count, name", [

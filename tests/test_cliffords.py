@@ -1,8 +1,12 @@
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxqubit import ConsistencyError
 from fluxqubit import cliffords as cl
 from fluxqubit import qcore as qc
 
@@ -208,3 +212,127 @@ def test_compile_cliffords_matches_decompose_then_compile(indices, quarters, see
     assert outgoing in range(4) and cl.QUARTER_TURNS[outgoing] == expected.frame_phase
     # one array-`high` draw leaves the generator where per-element draws do
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+# Scalar reference build: one pair of matrices at a time.  The batched build
+# in `cliffords` must give exactly these tables.
+
+def reference_group(defs):
+    unitaries = [qc.bloch_rotation(axis, angle) for axis, angle in defs]
+    for i in range(24):
+        for j in range(i + 1, 24):
+            if qc.unitaries_equal(unitaries[i], unitaries[j]):
+                raise ConsistencyError(f"elements {i} and {j} coincide up to phase")
+    return unitaries
+
+
+def reference_match_index(u, unitaries):
+    for idx, v in enumerate(unitaries):
+        if qc.phase_aligned_distance(u, v) < cl._MATCH_TOL:
+            return idx
+    raise ConsistencyError("unitary matches no group element; closure is broken")
+
+
+def reference_tables(unitaries):
+    mul = np.empty((24, 24), dtype=np.int8)
+    for i in range(24):
+        for j in range(24):
+            mul[i, j] = reference_match_index(unitaries[j] @ unitaries[i], unitaries)
+    inv = np.empty(24, dtype=np.int8)
+    for i in range(24):
+        matches = np.flatnonzero(mul[i] == 0)
+        if matches.size != 1:
+            raise ConsistencyError(f"element {i} has {matches.size} inverses")
+        inv[i] = matches[0]
+    return mul.tolist(), inv.tolist()
+
+
+def reference_decompositions(unitaries):
+    found = [[] for _ in range(24)]
+    non_identity = [k for k in cl.PRIMITIVE_KINDS if k != "I"]
+    for length in (1, 2, 3):
+        kinds_pool = cl.PRIMITIVE_KINDS if length == 1 else non_identity
+        for kinds in itertools.product(kinds_pool, repeat=length):
+            u = cl.sequence_product(kinds)
+            for idx in range(24):
+                if found[idx] and len(found[idx][0]) < length:
+                    continue
+                if qc.phase_aligned_distance(u, unitaries[idx]) < cl._MATCH_TOL:
+                    found[idx].append(kinds)
+                    break
+    for idx in cl._TWO_PULSE_PINNED:
+        two_pulse = [k for k in found[idx] if cl.microwave_pulse_count(k) == 2]
+        if not two_pulse:
+            raise ConsistencyError(f"element {idx} has no two-pulse decomposition")
+        found[idx] = two_pulse
+    for idx, options in enumerate(found):
+        if not options:
+            raise ConsistencyError(f"element {idx} has no decomposition")
+        for kinds in options:
+            u = cl.sequence_product(kinds)
+            if qc.phase_aligned_distance(u, unitaries[idx]) >= cl._MATCH_TOL:
+                raise ConsistencyError(f"stored decomposition for {idx} does not verify")
+    return [tuple(options) for options in found]
+
+
+def test_batched_tables_equal_the_scalar_reference():
+    unitaries = reference_group(cl.CLIFFORD_DEFS)
+    mul, inv = reference_tables(unitaries)
+    decompositions = reference_decompositions(unitaries)
+    steps = tuple(
+        tuple(tuple(cl._compile_kinds(kinds, q) for q in range(4)) for kinds in options)
+        for options in decompositions
+    )
+    assert np.array_equal(cl._UNITARIES, np.stack(unitaries))
+    assert cl._MUL == mul
+    assert cl._INV == inv
+    assert cl.DECOMPOSITIONS == decompositions
+    assert cl._STEPS == steps
+
+
+def test_duplicated_definition_row_raises(monkeypatch):
+    defs = list(cl.CLIFFORD_DEFS)
+    defs[7] = defs[4]
+    monkeypatch.setattr(cl, "CLIFFORD_DEFS", tuple(defs))
+    with pytest.raises(ConsistencyError, match="elements 4 and 7 coincide up to phase"):
+        cl._build_group()
+
+
+def test_non_clifford_rotation_breaks_closure(monkeypatch):
+    defs = list(cl.CLIFFORD_DEFS)
+    defs[12] = ((1, 0, 0), np.pi / 3)
+    monkeypatch.setattr(cl, "CLIFFORD_DEFS", tuple(defs))
+    with pytest.raises(ConsistencyError, match="closure is broken"):
+        cl._build_tables(cl._build_group())
+
+
+def test_pinned_element_without_two_pulse_form_raises(monkeypatch):
+    monkeypatch.setattr(cl, "_TWO_PULSE_PINNED", (18, 19, 1))  # X180 is one pulse
+    with pytest.raises(ConsistencyError, match="element 1 has no two-pulse decomposition"):
+        cl._build_decompositions(cl._UNITARIES)
+
+
+def test_group_and_primitive_unitaries_are_read_only():
+    assert all(g.unitary.base is cl._UNITARIES for g in GATES)  # views of one stack
+    before = cl._UNITARIES.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        GATES[5].unitary[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        cl.PRIMITIVE_UNITARIES["X90"] *= 2.0
+    assert np.array_equal(cl._UNITARIES, before)
+
+
+@pytest.mark.parametrize("index", [-1, 24, 2.0, True, "3", None])
+def test_clifford_rejects_bad_indices(index):
+    with pytest.raises(ValueError, match="Clifford index must be a whole number in 0..23"):
+        cl.clifford(index)
+
+
+def test_clifford_accepts_numpy_integers():
+    assert cl.clifford(np.int64(23)) is GATES[23]
+
+
+@pytest.mark.parametrize("quarters", [-1, 4, 1.0, True, None])
+def test_compile_cliffords_rejects_bad_frames(quarters):
+    with pytest.raises(ValueError, match="quarters must be a whole number in 0..3"):
+        cl.compile_cliffords([1, 2], np.random.default_rng(0), quarters)

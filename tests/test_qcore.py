@@ -29,6 +29,24 @@ def test_bloch_rotation_z_half_is_phase_diag():
     assert np.allclose(u, expected, atol=1e-12)
 
 
+def test_phase_aligned_distance_broadcasts_over_stacks():
+    rng = np.random.default_rng(31)
+    us = np.stack([random_unitary(rng) for _ in range(6)])
+    vs = np.stack([random_unitary(rng) for _ in range(4)])
+    vs[1] = np.exp(0.7j) * us[2]  # equal up to phase
+    vs[2] = qc.SIGMA_X @ us[3]  # tr(v^dag u) = 0: every phase is optimal
+    table = qc.phase_aligned_distance(us[:, None], vs)
+    assert table.shape == (6, 4)
+    for i in range(6):
+        for j in range(4):
+            pair = qc.phase_aligned_distance(us[i], vs[j])
+            assert type(pair) is float
+            assert table[i, j] == pair
+    assert table[2, 1] < 1e-12
+    assert abs(table[3, 2] - 2.0) < 1e-12
+    assert np.array_equal(qc.phase_aligned_distance(us[:4], vs), np.diagonal(table[:4]))
+
+
 def test_bloch_rotation_tilted_axis_gives_hadamard():
     u = qc.bloch_rotation((1, 0, 1), np.pi)
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
