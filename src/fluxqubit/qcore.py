@@ -12,6 +12,8 @@ Conventions used throughout the package:
 * Pauli transfer matrices (PTMs) are real 4x4 matrices acting on the Pauli
   vector (tr rho, <sx>, <sy>, <sz>), so channels compose by matrix product
   (Greenbaum, arXiv:1509.02921).
+* Both are read from one superoperator s = sum_k |K_k>><<K_k| (row-major
+  vec): the Choi matrix swaps its factors, the PTM is one real product on it.
 """
 
 from __future__ import annotations
@@ -165,21 +167,24 @@ def read_out(probability, visibility: float = 1.0, shots=None, rng=None):
 # Choi representation of channels
 # ---------------------------------------------------------------------------
 
+def _superoperator(kraus_ops) -> np.ndarray:
+    """s[..., (a, i), (b, j)] = sum_k K_k[a, i] conj(K_k[b, j]); the K_k are 2x2
+    or stacks of 2x2 whose stack shapes broadcast against each other."""
+    kraus_ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
+    if not kraus_ops or any(k.shape[-2:] != (2, 2) for k in kraus_ops):
+        raise ValueError("need one or more Kraus operators, each 2x2 or a stack of 2x2")
+    vecs = [k.reshape(k.shape[:-2] + (4,)) for k in kraus_ops]
+    return sum(v[..., :, None] * v.conj()[..., None, :] for v in vecs)
+
+
 def choi_from_kraus(kraus_ops) -> np.ndarray:
-    """Choi matrix (trace 2) of the channel with the given Kraus operators."""
-    c = np.zeros((4, 4), dtype=complex)
-    basis = np.eye(2, dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e_ij = np.outer(basis[i], basis[j])
-            out = sum(k @ e_ij @ dagger(k) for k in kraus_ops)
-            c += np.kron(e_ij, out)
-    return c
+    """Choi matrix (trace 2) of 2x2 Kraus operators: C[(i, a), (j, b)] = s[(a, i), (b, j)]."""
+    return _superoperator(kraus_ops).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
 
 def choi_from_unitary(u: np.ndarray) -> np.ndarray:
     """Choi matrix (trace 2) of the unitary channel rho -> u rho u^dag."""
-    return choi_from_kraus([np.asarray(u, dtype=complex)])
+    return choi_from_kraus([u])
 
 
 def partial_trace_output(c: np.ndarray) -> np.ndarray:
@@ -264,18 +269,18 @@ def density_from_pauli_vector(r) -> np.ndarray:
     return 0.5 * np.einsum("i,iab->ab", np.asarray(r, dtype=float), PAULI_BASIS)
 
 
-def ptm_from_kraus(kraus_ops) -> np.ndarray:
-    """PTM R_ij = sum_k tr(P_i K_k P_j K_k^dag) / 2; each K_k may be a stack.
+# R_pq = 1/2 sum s[(a, i), (b, j)] P_p[b, a] P_q[i, j] as a real (32, 16) matrix on s
+# flattened with interleaved real and imaginary parts: Re(s c) = Re s Re c - Im s Im c
+_PTM_OF_SUPEROPERATOR = (0.5 * np.einsum("pba,qij->pqaibj", PAULI_BASIS, PAULI_BASIS)
+                         ).reshape(16, 16).conj().view(float).T.copy()
 
-    Row 0 is computed, not assumed: it is (1, 0, 0, 0) only for a
-    trace-preserving set of Kraus operators.
-    """
-    ptm = 0.0
-    for k in kraus_ops:
-        k = np.asarray(k, dtype=complex)[..., None, :, :]
-        images = k @ PAULI_BASIS @ np.swapaxes(k, -1, -2).conj()
-        ptm = ptm + 0.5 * np.einsum("iab,...jba->...ij", PAULI_BASIS, images).real
-    return ptm
+
+def ptm_from_kraus(kraus_ops) -> np.ndarray:
+    """PTM R_ij = sum_k tr(P_i K_k P_j K_k^dag) / 2, one real product on the
+    superoperator; each K_k may be a stack. Row 0 is computed, not assumed."""
+    s = _superoperator(kraus_ops)
+    ptm = s.reshape(s.shape[:-2] + (16,)).view(float) @ _PTM_OF_SUPEROPERATOR
+    return ptm.reshape(s.shape[:-2] + (4, 4))
 
 
 def ptm_from_unitary(u: np.ndarray) -> np.ndarray:

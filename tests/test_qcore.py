@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fluxqubit import InvalidChannelError
 from fluxqubit import qcore as qc
+from fluxqubit.tomography import IDEAL_GATES
 
 
 def random_density(rng):
@@ -223,6 +224,125 @@ def test_relaxation_ptm_acts_on_the_bloch_vector():
     stack = qc.relaxation_ptm(np.array([0.0, 1.0]))
     assert np.allclose(stack[0], np.eye(4), atol=1e-15)
     assert np.allclose(stack[1] @ [1.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 1.0], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Channel kernels against independent references
+# ---------------------------------------------------------------------------
+
+def trace_ptm(kraus_ops):
+    """R_ij = 1/2 sum_k tr(P_i K_k P_j K_k^dag), one stack entry at a time."""
+    kraus_ops = np.broadcast_arrays(*[np.asarray(k, dtype=complex) for k in kraus_ops])
+    ptm = np.empty(kraus_ops[0].shape[:-2] + (4, 4))
+    for index in np.ndindex(ptm.shape[:-2]):
+        for i, p_i in enumerate(qc.PAULI_BASIS):
+            for j, p_j in enumerate(qc.PAULI_BASIS):
+                ptm[index + (i, j)] = 0.5 * sum(
+                    np.trace(p_i @ k[index] @ p_j @ k[index].conj().T) for k in kraus_ops).real
+    return ptm
+
+
+def einsum_ptm(kraus_ops):
+    """Conjugate the Paulis by every Kraus operator, then project them by einsum."""
+    ptm = 0.0
+    for k in kraus_ops:
+        k = np.asarray(k, dtype=complex)[..., None, :, :]
+        images = k @ qc.PAULI_BASIS @ np.swapaxes(k, -1, -2).conj()
+        ptm = ptm + 0.5 * np.einsum("iab,...jba->...ij", qc.PAULI_BASIS, images).real
+    return ptm
+
+
+def loop_choi(kraus_ops):
+    """Choi matrix as sum_ij e_ij (x) E(e_ij), one matrix unit at a time."""
+    c = np.zeros((4, 4), dtype=complex)
+    basis = np.eye(2, dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            e_ij = np.outer(basis[i], basis[j])
+            out = sum(k @ e_ij @ qc.dagger(k) for k in kraus_ops)
+            c += np.kron(e_ij, out)
+    return c
+
+
+def isometry_kraus(rng, count, shape=()):
+    """count Kraus operators of a CPTP map: the 2x2 blocks of a random isometry."""
+    a = rng.normal(size=shape + (2 * count, 2)) + 1j * rng.normal(size=shape + (2 * count, 2))
+    q = np.linalg.qr(a)[0]
+    return [q[..., 2 * m:2 * m + 2, :] for m in range(count)]
+
+
+def damping_and_dephasing_kraus(rng, shape):
+    gamma = rng.uniform(size=shape)[..., None, None]
+    decay = rng.uniform(size=shape)[..., None, None]
+    return [[np.diag([1.0, 0.0]) + np.sqrt(1.0 - gamma) * np.diag([0.0, 1.0]),
+             np.sqrt(gamma) * np.array([[0.0, 1.0], [0.0, 0.0]])],
+            [np.sqrt(0.5 * (1.0 + decay)) * qc.IDENTITY,
+             np.sqrt(0.5 * (1.0 - decay)) * qc.SIGMA_Z]]
+
+
+def assert_ptm_matches_references(kraus_ops):
+    ptm = qc.ptm_from_kraus(kraus_ops)
+    for reference in (trace_ptm(kraus_ops), einsum_ptm(kraus_ops)):
+        assert ptm.shape == reference.shape
+        assert np.max(np.abs(ptm - reference), initial=0.0) <= 1e-15
+
+
+_stack_shapes = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(shape=_stack_shapes, seed=_seeds)
+def test_ptm_of_unitary_stacks_matches_the_references(shape, seed):
+    (u,) = isometry_kraus(np.random.default_rng(seed), 1, shape)
+    assert_ptm_matches_references([u])
+    assert np.array_equal(qc.ptm_from_unitary(u), qc.ptm_from_kraus([u]))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(shape=_stack_shapes, seed=_seeds)
+def test_ptm_of_damping_and_dephasing_stacks_matches_the_references(shape, seed):
+    for kraus_ops in damping_and_dephasing_kraus(np.random.default_rng(seed), shape):
+        assert_ptm_matches_references(kraus_ops)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(count=st.integers(1, 3), seed=_seeds, scale=st.floats(0.1, 1.0))
+def test_ptm_and_choi_of_kraus_sets_match_the_references(count, seed, scale):
+    """CPTP sets, and the same sets scaled below trace preservation."""
+    for kraus_ops in (isometry_kraus(np.random.default_rng(seed), count),
+                      [scale * k for k in isometry_kraus(np.random.default_rng(seed), count)]):
+        assert_ptm_matches_references(kraus_ops)
+        assert np.array_equal(qc.choi_from_kraus(kraus_ops), loop_choi(kraus_ops))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(shape=st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple), seed=_seeds)
+def test_ptm_broadcasts_kraus_operators_of_different_stack_shapes(shape, seed):
+    rng = np.random.default_rng(seed)
+    damping = damping_and_dephasing_kraus(rng, shape)[0]
+    kraus_ops = [damping[0], damping[1][(0,) * len(shape)]]  # a stack and one 2x2
+    assert_ptm_matches_references(kraus_ops)
+
+
+def test_ptm_row_zero_is_computed_for_a_trace_decreasing_set():
+    ptm = qc.ptm_from_kraus([np.diag([1.0, 0.0])])  # keep |g>, lose |e>
+    assert np.allclose(ptm[0], [0.5, 0.0, 0.0, 0.5], atol=1e-15)
+    assert np.allclose(ptm[3], [0.5, 0.0, 0.0, 0.5], atol=1e-15)
+
+
+def test_choi_of_the_ideal_gates_equals_the_matrix_unit_loop():
+    for u in list(IDEAL_GATES.values()) + [qc.IDENTITY, qc.SIGMA_Y]:
+        assert qc.choi_from_unitary(u).tobytes() == loop_choi([u]).tobytes()
+
+
+@pytest.mark.parametrize("kraus_ops", [[], [np.eye(3)], [qc.IDENTITY, np.eye(3)],
+                                       [np.ones(2)], [np.ones((2, 2, 3))]],
+                         ids=["empty", "3x3", "one-3x3", "vector", "2x3-stack"])
+def test_channel_kernels_reject_malformed_kraus_operators(kraus_ops):
+    for kernel in (qc.ptm_from_kraus, qc.choi_from_kraus):
+        with pytest.raises(ValueError, match="Kraus operators"):
+            kernel(kraus_ops)
 
 
 # ---------------------------------------------------------------------------
