@@ -30,7 +30,7 @@ The spectrum's frequency grid and its exp(-2 pi i f x) kernel depend only
 on the sample grid x, so they are built once per grid and kept in a
 bounded cache (8 grids); each call is then one matrix-vector product and
 an argmax.  A cache entry holds 16 bytes * n_freq * len(x), where n_freq
-is about oversample / 2 * len(x), i.e. 4 * len(x) at the default
+is about SPECTRUM_OVERSAMPLE / 2 * len(x), i.e. 4 * len(x) at the fixed
 oversample of 8 on a uniform grid: 0.4 MB for an 81-point scan.
 """
 
@@ -52,6 +52,7 @@ CONVERGENCE_RTOL = 1e-12
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-14
 DEGENERATE_CONDITION = 1e12
+SPECTRUM_OVERSAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _cosine_fringe_jac(x, p):
 
 
 @functools.lru_cache(maxsize=8)
-def _spectrum_kernel(x_bytes: bytes, oversample: int):
+def _spectrum_kernel(x_bytes: bytes):
     """(freqs, exp(-2 pi i f x)) for one float64 grid, both read-only.
 
     Keyed on the grid's bytes, so a caller that later changes its array
@@ -141,7 +142,7 @@ def _spectrum_kernel(x_bytes: bytes, oversample: int):
     min_spacing = np.min(steps[steps > 0])
     f_max = 0.5 / min_spacing
     f_min = 0.25 / span
-    n_freq = max(16, int(oversample * span * f_max))
+    n_freq = max(16, int(SPECTRUM_OVERSAMPLE * span * f_max))
     freqs = np.linspace(f_min, f_max, n_freq)
     kernel = np.exp(-2j * np.pi * np.outer(freqs, x))
     freqs.flags.writeable = False
@@ -149,10 +150,10 @@ def _spectrum_kernel(x_bytes: bytes, oversample: int):
     return freqs, kernel
 
 
-def coarse_spectrum_peak(x, y, oversample: int = 8) -> float:
+def coarse_spectrum_peak(x, y) -> float:
     """Frequency of the largest discrete-spectrum component, by direct sums."""
     x = np.asarray(x, dtype=float)
-    freqs, kernel = _spectrum_kernel(x.tobytes(), oversample)
+    freqs, kernel = _spectrum_kernel(x.tobytes())
     centered = y - np.mean(y)
     power = np.abs(kernel @ centered)
     return float(freqs[np.argmax(power)])

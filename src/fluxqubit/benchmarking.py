@@ -9,15 +9,15 @@ from p (decompose and compile are one `cliffords.compile_cliffords` walk).
 PB reads each sequence's final state three times, plain and after an extra
 analysis rotation, to estimate <sx>, <sy>, <sz> and tracks the purity decay
 A' u^(m-1) + B'; the incoherent error is (1 - sqrt(u)) / 2.  It compiles
-(and, given `channel`, multiplies) the base string once and each analysis
-rotation from the base's outgoing frame and state.
+and multiplies the base string once and each analysis rotation from the
+base's outgoing frame and state.
 
-Backends implement `run(pulses, shots, rng) -> P_g estimate` where pulses
-are (rotation amount, axis angle) pairs.  Both bundled backends turn each
-distinct pulse into one memoised, read-only 4x4 Pauli transfer matrix (PTM)
-and multiply a string's maps by a pairwise tree reduce (`channel`); P_g is
-read from the product applied to |g>.  Virtual-Z compilation emits only 12
-distinct pulses, so the cache stays small.  The channel backend's PTM is a rotation
+A backend has `channel(pulses)`, the 4x4 Pauli transfer matrix (PTM) of
+(rotation amount, axis angle) pulses, for PB; `run(pulses, shots, rng)`, the
+P_g estimate, for RB; `visibility`; and `survival_probability(pulse_count)`
+if `supports_survival_shortcut`.  The bundled backends memoise one read-only
+PTM per distinct pulse (virtual-Z compilation emits 12) and apply a string's
+tree-reduced product to |g>.  The channel backend's PTM is a rotation
 with over-rotation and axis error, then depolarizing, then amplitude
 damping; the pulse backend's is an ideal rotation, then fixed-duration T1
 damping and dephasing.  Depolarizing-only noise takes a closed-form
@@ -48,7 +48,7 @@ from .analysis import FitResult, fit_nlls, fit_nlls_rows
 from .cliffords import (
     QUARTER_TURNS,
     PhysicalPulseList,
-    compile_cliffords,
+    _compile_cliffords,
     compile_virtual_z,  # not called here: perfbench's tracer looks both names up in
     decompose,          # this module to wrap them, so they stay importable from it
     enumerate_cliffords,
@@ -222,7 +222,6 @@ class PulseBackend(_PTMBackend):
         if not (0.0 < gate_time_ns < math.inf):
             raise ValueError("gate_time_ns must be positive and finite")
         check_coherence_times(t1_us, t2_us)
-        self.t1_ns, self.t2_ns, self.gate_time_ns = t1_us * 1e3, t2_us * 1e3, gate_time_ns
         self._gamma, self._dephasing = relaxation_factors(gate_time_ns, t1_us, t2_us)
 
     def pulse_ptm(self, amount: float, axis_angle: float) -> np.ndarray:
@@ -247,7 +246,7 @@ def draw_sequence(m: int, rng: np.random.Generator):
 
 def compile_sequence(gates, recovery, rng: np.random.Generator) -> PhysicalPulseList:
     """Decompose every element (random choices) and compile the whole string."""
-    pulses, quarters = compile_cliffords([g.index for g in gates] + [recovery.index], rng)
+    pulses, quarters = _compile_cliffords([g.index for g in gates] + [recovery.index], rng)
     return PhysicalPulseList(pulses, QUARTER_TURNS[quarters])
 
 
@@ -260,11 +259,11 @@ def _sequence_rng(seed: int, kind: str, length_index: int, sequence_index: int):
     )
 
 
-def _measure(backend, pulses, shots, rng, where: str, shortcut: bool = True) -> float:
-    """P_g of one compiled string: the survival shortcut when allowed and the
-    backend offers it, else backend.run; failures name `where`."""
+def _measure(backend, pulses, shots, rng, where: str) -> float:
+    """P_g of one compiled string: the survival shortcut when the backend
+    offers it, else backend.run; failures name `where`."""
     try:
-        if shortcut and backend.supports_survival_shortcut:
+        if backend.supports_survival_shortcut:
             return read_out(backend.survival_probability(len(pulses)), backend.visibility,
                             shots, rng)
         return backend.run(pulses, shots, rng)
@@ -299,8 +298,8 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
 
     Each sequence's final state is read three times (plain, extra
     R_y(-pi/2), extra R_x(pi/2)) to estimate <sx>, <sy>, <sz>; the purity is
-    their sum of squares.  A backend with `channel` multiplies the base string
-    once; one with only `run` runs base plus rotation per readout.  The plain
+    their sum of squares.  The backend's `channel` multiplies the base string
+    once, and each readout applies its analysis tail to that state.  The plain
     readings double as an RB survival record, so the total error can be
     estimated from the same data set.  With `bias_corrected` the unbiased
     shot-noise variance 4 p_hat (1 - p_hat) / (n - 1) is subtracted from each
@@ -308,7 +307,6 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
     """
     if bias_corrected and config.shots is not None and config.shots < 2:
         raise ValueError("bias_corrected needs at least 2 shots")
-    shared = hasattr(backend, "channel")
     purity_values = [[] for _ in config.lengths]
     survival_values = [[] for _ in config.lengths]
     stamps = [[] for _ in config.lengths]
@@ -320,19 +318,15 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
             state = None  # Pauli vector after the base string, made at the z readout
             expectations = {}
             for label, analysis in _ANALYSIS_STEPS:
-                tail = compile_cliffords(analysis, rng, quarters)[0]
-                where = f"length {m}, sequence {j} ({label})"
-                if not shared:
-                    p_g = _measure(backend, base.pulses + tail, config.shots, rng, where,
-                                   shortcut=False)
-                else:
-                    try:
-                        if state is None:
-                            state = backend.channel(base.pulses) @ _GROUND
-                        p_g = _read_ground(backend.channel(tail) @ state if tail else state,
-                                           backend.visibility, config.shots, rng)
-                    except Exception as exc:
-                        raise wrap_error(exc, f"backend failed at {where}: {exc}") from exc
+                tail = _compile_cliffords(analysis, rng, quarters)[0]
+                try:
+                    if state is None:
+                        state = backend.channel(base.pulses) @ _GROUND
+                    p_g = _read_ground(backend.channel(tail) @ state if tail else state,
+                                       backend.visibility, config.shots, rng)
+                except Exception as exc:
+                    raise wrap_error(exc, f"backend failed at length {m}, sequence {j} "
+                                          f"({label}): {exc}") from exc
                 expectations[label] = 2.0 * p_g - 1.0
             purity = sum(value**2 for value in expectations.values())
             if bias_corrected and config.shots is not None:
@@ -382,12 +376,12 @@ def incoherent_error_from_u(u: float) -> float:
     return 0.5 * (1.0 - math.sqrt(u))
 
 
-def fit_rb(record: DecayRecord, p0=None) -> RBFit:
+def fit_rb(record: DecayRecord) -> RBFit:
     """Least-squares fit of mean P_g(m) to A p^m + B."""
     if len(record.lengths) < 3:
         raise ValueError("need at least 3 distinct lengths to fit")
     m = np.asarray(record.lengths, dtype=float)
-    fit = fit_nlls("exp_decay", m, record.means(), p0=p0)
+    fit = fit_nlls("exp_decay", m, record.means())
     stderr = dict(fit.stderr) if fit.stderr else {}
     if "p" in stderr:
         stderr["average_fidelity"] = 0.5 * stderr["p"]
@@ -398,12 +392,12 @@ def fit_rb(record: DecayRecord, p0=None) -> RBFit:
     )
 
 
-def fit_pb(record: DecayRecord, p0=None) -> PBFit:
+def fit_pb(record: DecayRecord) -> PBFit:
     """Least-squares fit of mean purity(m) to A' u^(m-1) + B'."""
     if len(record.lengths) < 3:
         raise ValueError("need at least 3 distinct lengths to fit")
     m = np.asarray(record.lengths, dtype=float) - 1.0
-    fit = fit_nlls("exp_decay", m, record.means(), p0=p0)
+    fit = fit_nlls("exp_decay", m, record.means())
     u = fit["p"]
     stderr = dict(fit.stderr) if fit.stderr else {}
     if "p" in stderr:

@@ -283,11 +283,19 @@ _STEPS = tuple(
 
 
 def compile_cliffords(indices, rng: np.random.Generator, quarters: int = 0):
-    """(pulses, outgoing frame) of a sequence of element indices entered at a
-    frame of `quarters` quarter turns: `decompose` per element, then
-    `compile_virtual_z`, with the same result and generator state."""
+    """(pulses, outgoing frame) of element `indices` entered at a frame of
+    `quarters` quarter turns; `decompose` then `compile_virtual_z` per element
+    give the same result and generator state."""
+    for i in indices:
+        if not (is_count(i) and 0 <= i < 24):
+            raise ValueError(f"Clifford index must be a whole number in 0..23, got {i!r}")
     if not (is_count(quarters) and 0 <= quarters < 4):
         raise ValueError(f"quarters must be a whole number in 0..3, got {quarters!r}")
+    return _compile_cliffords(indices, rng, quarters)
+
+
+def _compile_cliffords(indices, rng: np.random.Generator, quarters: int = 0):
+    """compile_cliffords unchecked, for indices read from group elements."""
     highs = [len(_STEPS[i]) for i in indices if len(_STEPS[i]) > 1]
     choices = iter(rng.integers(highs).tolist() if highs else ())
     pulses = []

@@ -211,16 +211,12 @@ def calibrate_timing(p: DeviceParams, delta_i_res: float, t_pi: float, *,
 
 
 def calibrate(p: DeviceParams, *, drive_amplitude: float, rise_time: float = 0.0,
-              dt: float = 0.05, delta_i_grid=None, rabi_t_grid=None,
-              ramsey_t_grid=None) -> Calibration:
-    """Run the three calibration steps with map-seeded default scan ranges."""
+              dt: float = 0.05) -> Calibration:
+    """Run the three calibration steps on scan ranges seeded from the map."""
     nominal = nominal_calibration(p, drive_amplitude)
-    if delta_i_grid is None:
-        delta_i_grid = nominal.delta_i_res + np.linspace(-3.0, 3.0, 25)
-    if rabi_t_grid is None:
-        rabi_t_grid = np.linspace(0.0, 4.0 * nominal.t_pi, 81)
-    if ramsey_t_grid is None:
-        ramsey_t_grid = np.linspace(0.0, 3.5 * nominal.axis_period, 71)
+    delta_i_grid = nominal.delta_i_res + np.linspace(-3.0, 3.0, 25)
+    rabi_t_grid = np.linspace(0.0, 4.0 * nominal.t_pi, 81)
+    ramsey_t_grid = np.linspace(0.0, 3.5 * nominal.axis_period, 71)
     delta_i_res = calibrate_amplitude(
         p, delta_i_grid=delta_i_grid, t_grid=rabi_t_grid,
         drive_amplitude=drive_amplitude, rise_time=rise_time, dt=dt,

@@ -14,7 +14,8 @@ semismooth Newton solve of its four-dimensional dual problem (Qi & Sun,
 SIAM J. Matrix Anal. Appl. 28, 360 (2006)); see `project_cptp`.  Steps that
 would increase the cost are halved, so the accepted cost sequence is
 monotone.  The step length, iteration cap and stopping tolerance are the
-module constants STEP_SIZE, MAX_ITERATIONS and COST_TOLERANCE.
+module constants STEP_SIZE, MAX_ITERATIONS and COST_TOLERANCE, and
+PROJECTION_ROUNDS caps the eigendecompositions of one projection.
 """
 
 from __future__ import annotations
@@ -164,8 +165,7 @@ _DIRECTIONS = np.stack([np.kron(sigma, IDENTITY) for sigma in PAULI_BASIS])
 _TP_TOLERANCE = 1e-13   # on ||Tr_out X - I||_F, scaled by max(1, ||C||_F)
 
 
-def project_cptp(c: np.ndarray, rounds: int = PROJECTION_ROUNDS, *,
-                 counts: Optional[list] = None) -> np.ndarray:
+def project_cptp(c: np.ndarray, *, counts: Optional[list] = None) -> np.ndarray:
     """Frobenius projection of the Hermitian part of c onto the CPTP set.
 
     The nearest X >= 0 with Tr_out X = I is X = P+(C + L (x) I), where P+
@@ -181,9 +181,9 @@ def project_cptp(c: np.ndarray, rounds: int = PROJECTION_ROUNDS, *,
     gradient step of length 1/Lipschitz).  X is PSD by construction; the
     loop stops once ||Tr_out X - I||_F < 1e-13 max(1, ||C||_F).
 
-    `rounds` caps the eigendecompositions; if the residual is still above
-    the tolerance after that many, ConsistencyError names it.  If `counts`
-    is a list, the number of eigendecompositions used is appended to it.
+    PROJECTION_ROUNDS caps the eigendecompositions; if the residual is still
+    above the tolerance after that many, ConsistencyError names it.  If
+    `counts` is a list, the number of eigendecompositions used is appended.
     """
     c = np.asarray(c, dtype=complex)
     c = 0.5 * (c + dagger(c))
@@ -191,7 +191,7 @@ def project_cptp(c: np.ndarray, rounds: int = PROJECTION_ROUNDS, *,
     multiplier = pauli_vector(IDENTITY - partial_trace_output(c)) / 4.0  # L in Pauli coordinates
     start = None   # (multiplier, defect, residual) where the pending Newton `step` began
     residual = math.inf
-    for count in range(1, rounds + 1):
+    for count in range(1, PROJECTION_ROUNDS + 1):
         lifted = (multiplier @ _DIRECTIONS.reshape(4, 16)).reshape(4, 4)   # L (x) I
         eigenvalues, vectors = np.linalg.eigh(c + lifted)
         positive = eigenvalues > 0.0
@@ -220,7 +220,7 @@ def project_cptp(c: np.ndarray, rounds: int = PROJECTION_ROUNDS, *,
             start, fraction = (multiplier, defect, residual), 1.0
             multiplier = multiplier - step
     raise ConsistencyError(
-        f"CPTP projection did not converge in {rounds} eigendecompositions: "
+        f"CPTP projection did not converge in {PROJECTION_ROUNDS} eigendecompositions: "
         f"trace-preservation residual {residual:.3e} (tolerance {tolerance:.1e})"
     )
 
@@ -288,16 +288,6 @@ def reconstruct(record: MeasurementRecord):
         final_cost=cost, cost_history=tuple(history),
         projections=len(eighs), projection_eighs=sum(eighs),
     )
-
-
-def linear_lsq_choi(record: MeasurementRecord) -> np.ndarray:
-    """Unconstrained least-squares Choi estimate (not CPTP in general)."""
-    basis = [np.kron(a, b) / 2.0 for a in PAULI_BASIS for b in PAULI_BASIS]
-    design = np.array(
-        [[np.trace(coeff @ b).real for b in basis] for coeff in _COEFFS]
-    )
-    weights, *_ = np.linalg.lstsq(design, record.entries, rcond=None)
-    return sum(w * b for w, b in zip(weights, basis))
 
 
 def report_fidelities(gate_names, chois) -> list:

@@ -282,16 +282,56 @@ def test_temporal_stability_scatter_shrinks_with_window():
     assert shrink >= np.sqrt(3)
 
 
-def test_backend_failure_reports_sequence_index():
-    class FailingBackend:
+class FailingBackend(rb.ChannelBackend):
+    """Every string fails: `channel`, and so `run`, raises; no shortcut."""
+
+    supports_survival_shortcut = False
+
+    def channel(self, pulses):
+        self.raised = ArithmeticError("broken")
+        raise self.raised
+
+
+class FailingShortcut(rb.ChannelBackend):
+    """Noiseless, hence depolarizing-only: RB and stability take the
+    survival shortcut, which raises."""
+
+    def survival_probability(self, pulse_count):
+        self.raised = ArithmeticError("broken")
+        raise self.raised
+
+
+@pytest.mark.parametrize("path, backend, where", [
+    ("rb", FailingBackend, "length 1, sequence 0"),
+    ("rb", FailingShortcut, "length 1, sequence 0"),
+    ("pb", FailingBackend, "length 1, sequence 0 (z)"),
+    ("stability", FailingBackend, "iteration 0, length 1"),   # the string loop
+    ("stability", FailingShortcut, "iteration 0, length 1"),  # the table path
+], ids=["rb-backend", "rb-shortcut", "pb", "stability-loop", "stability-table"])
+def test_every_benchmarking_path_keeps_the_error_and_names_where(path, backend, where):
+    backend = backend()
+    config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=1, seed=1)
+    run = {"rb": lambda: rb.run_rb(backend, config),
+           "pb": lambda: rb.run_pb(backend, config),
+           "stability": lambda: rb.temporal_stability(backend, config, iterations=3, window=3)}
+    with pytest.raises(ArithmeticError, match=re.escape(f"backend failed at {where}: broken")) \
+            as info:
+        run[path]()
+    assert type(info.value) is ArithmeticError
+    assert info.value.__cause__ is backend.raised
+
+
+def test_pb_names_a_missing_channel_and_where():
+    class RunOnly:
         supports_survival_shortcut = False
+        visibility = 1.0
 
         def run(self, pulses, shots, rng):
-            raise ValueError("broken")
+            return 1.0
 
-    config = rb.RBConfig(lengths=(1, 2), sequences_per_length=1, seed=1)
-    with pytest.raises(ValueError, match="length 1, sequence 0"):
-        rb.run_rb(FailingBackend(), config)
+    config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=1, seed=1)
+    with pytest.raises(AttributeError, match=r"length 1, sequence 0 \(z\): .*'channel'"):
+        rb.run_pb(RunOnly(), config)
 
 
 def test_pulse_backend_decay_reduces_survival():
@@ -302,31 +342,9 @@ def test_pulse_backend_decay_reduces_survival():
     assert fit.average_fidelity < 1.0
 
 
-def test_temporal_stability_and_pb_failures_name_where():
-    class FailingBackend:
-        supports_survival_shortcut = False
-
-        def run(self, pulses, shots, rng):
-            raise ValueError("broken")
-
-    config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=1, seed=1)
-    with pytest.raises(ValueError, match="iteration 0, length 1: broken") as info:
-        rb.temporal_stability(FailingBackend(), config, iterations=3, window=3)
-    assert isinstance(info.value.__cause__, ValueError)
-    with pytest.raises(ValueError, match=r"length 1, sequence 0 \(z\)"):
-        rb.run_pb(FailingBackend(), config)
-
-
-class ConstantBackend:
-    """Reads every string as the same fraction of ground-state outcomes."""
-
-    supports_survival_shortcut = False
-
-    def __init__(self, p_hat):
-        self.p_hat = p_hat
-
-    def run(self, pulses, shots, rng):
-        return self.p_hat
+def constant_readings(p_hat):
+    """Every PB readout reads the same fraction p_hat of ground-state outcomes."""
+    return mock.patch.object(rb, "_read_ground", lambda *args: p_hat)
 
 
 def test_pb_bias_correction_is_unbiased_over_the_binomial_pmf():
@@ -336,7 +354,8 @@ def test_pb_bias_correction_is_unbiased_over_the_binomial_pmf():
     expected = 0.0
     for k in range(n + 1):
         pmf = math.comb(n, k) * p**k * (1 - p) ** (n - k)
-        result = rb.run_pb(ConstantBackend(k / n), config, bias_corrected=True)
+        with constant_readings(k / n):
+            result = rb.run_pb(rb.ChannelBackend(), config, bias_corrected=True)
         expected += pmf * result.purity.values[0][0] / 3  # three equal readouts
     assert abs(expected - (2 * p - 1) ** 2) < 1e-12  # 0.36; dividing by n gave 0.40
 
@@ -344,8 +363,9 @@ def test_pb_bias_correction_is_unbiased_over_the_binomial_pmf():
 def test_pb_bias_correction_needs_two_shots():
     config = rb.RBConfig(lengths=(1,), sequences_per_length=1, shots=1)
     with pytest.raises(ValueError, match="2 shots"):
-        rb.run_pb(ConstantBackend(1.0), config, bias_corrected=True)
-    assert rb.run_pb(ConstantBackend(1.0), config).purity.values[0][0] == 3.0
+        rb.run_pb(rb.ChannelBackend(), config, bias_corrected=True)
+    with constant_readings(1.0):
+        assert rb.run_pb(rb.ChannelBackend(), config).purity.values[0][0] == 3.0
 
 
 @pytest.mark.parametrize("visibility", [0.0, -0.1, 1.5, math.nan])
@@ -481,24 +501,30 @@ def test_corrupted_inverse_table_fails_the_draw_sequence_identity_check(monkeypa
             rb.draw_sequence(m, np.random.default_rng(m))
 
 
-class _RunOnlyRecorder:
-    """A backend with only `run`, so run_pb takes the per-readout path; it
-    records every string it runs."""
-
-    supports_survival_shortcut = False
-
-    def __init__(self, backend):
-        self.backend, self.seen = backend, []
-
-    def run(self, pulses, shots, rng):
-        self.seen.append(tuple(pulses))
-        return self.backend.run(pulses, shots, rng)
+def per_readout_pb(backend, config):
+    """PB with each readout's whole string compiled and run, kept as the
+    reference: base plus analysis tail through `backend.run`, drawing from
+    the sequence's generator in run_pb's order.  Returns the strings run and
+    the purity and survival values per length."""
+    strings, purity, survival = [], [[] for _ in config.lengths], [[] for _ in config.lengths]
+    for i_m, m in enumerate(config.lengths):
+        for j in range(config.sequences_per_length):
+            rng = rb._sequence_rng(config.seed, "pb", i_m, j)
+            base = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)
+            quarters = cl.QUARTER_TURNS.index(base.frame_phase)
+            expectations = []
+            for _, analysis in rb._ANALYSIS_STEPS:
+                strings.append(base.pulses + cl.compile_cliffords(analysis, rng, quarters)[0])
+                expectations.append(2.0 * backend.run(strings[-1], config.shots, rng) - 1.0)
+            purity[i_m].append(float(sum(value**2 for value in expectations)))
+            survival[i_m].append(0.5 * (1.0 + expectations[0]))
+    return strings, purity, survival
 
 
 def shared_readouts(backend, config):
-    """run_pb on a backend with `channel` (the shared path): each readout's
-    whole string, rebuilt from what the channel calls composed (the base,
-    then each readout's analysis tail), each readout's P_g, and the result."""
+    """run_pb's readouts: each readout's whole string, rebuilt from what the
+    channel calls composed (the base, then each readout's analysis tail),
+    each readout's P_g, and the result."""
     composed, values = [], []
     channel, read_ground = backend.channel, rb._read_ground
 
@@ -537,15 +563,13 @@ def test_pb_readouts_are_the_base_string_then_each_analysis_rotation():
                 expected.append(cl.compile_virtual_z(cl.PrimitiveSequence(base + tail, -1)).pulses)
     noise = rb.GateNoiseModel(2e-3, 1e-3, overrotation=0.02, axis_error=0.01)
     assert shared_readouts(rb.ChannelBackend(noise), config)[0] == expected
-    run_only = _RunOnlyRecorder(rb.ChannelBackend(noise))
-    rb.run_pb(run_only, config)
-    assert run_only.seen == expected
-    # with shots, each readout's binomial follows its tail's draws on both paths
+    assert per_readout_pb(rb.ChannelBackend(noise), config)[0] == expected
+    # with shots, each readout's binomial follows its tail's draws in both
     config = dataclasses.replace(config, shots=200)
-    shared = shared_readouts(rb.ChannelBackend(noise), config)[2]
-    per_readout = rb.run_pb(_RunOnlyRecorder(rb.ChannelBackend(noise)), config)
-    assert shared.purity.values == per_readout.purity.values
-    assert shared.survival.values == per_readout.survival.values
+    shared = rb.run_pb(rb.ChannelBackend(noise), config)
+    _, purity, survival = per_readout_pb(rb.ChannelBackend(noise), config)
+    assert shared.purity.values == purity
+    assert shared.survival.values == survival
     assert len(set(np.concatenate(shared.survival.values))) > 3  # the shots are not all alike
 
 

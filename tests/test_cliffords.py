@@ -1,5 +1,6 @@
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -336,3 +337,21 @@ def test_clifford_accepts_numpy_integers():
 def test_compile_cliffords_rejects_bad_frames(quarters):
     with pytest.raises(ValueError, match="quarters must be a whole number in 0..3"):
         cl.compile_cliffords([1, 2], np.random.default_rng(0), quarters)
+
+
+@pytest.mark.parametrize("indices, first_bad", [
+    *(([3, bad, 5, -2], bad) for bad in (-1, 24, 2.0, True, None, "4")),
+    ((3, -1, 5), -1),
+    (np.array([3, -1, 5]), np.int64(-1)),
+    (np.array([3, 24, 5]), np.int64(24)),
+    (np.array([3.0, 4.0]), np.float64(3.0)),
+])
+def test_compile_cliffords_rejects_bad_indices_and_names_the_first(indices, first_bad):
+    with pytest.raises(ValueError, match=f"0..23, got {re.escape(repr(first_bad))}$"):
+        cl.compile_cliffords(indices, np.random.default_rng(0))
+
+
+def test_compile_cliffords_accepts_numpy_index_arrays():
+    indices = np.array([0, 7, 18, 23])
+    assert (cl.compile_cliffords(indices, np.random.default_rng(4))
+            == cl.compile_cliffords(indices.tolist(), np.random.default_rng(4)))

@@ -3,10 +3,15 @@
 Its tracer patches module attributes and a backend's instance methods, and
 its worker samples the host's speed at two calls every workload makes.
 These tests fail as soon as one of those names is renamed or removed, or
-stops being looked up, so the benchmark keeps measuring the package.
+stops being looked up, so the benchmark keeps measuring the package.  They
+also read perfbench's source: every `<module>.<name>` it takes from a
+fluxqubit module must exist, and every call it makes to one must still
+bind to that name's signature.
 """
 
+import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -62,3 +67,51 @@ def test_sampled_calls_exist_and_are_looked_up(monkeypatch, module, name):
         config = benchmarking.RBConfig(lengths=(1, 3), sequences_per_length=2)
         benchmarking.run_rb(benchmarking.ChannelBackend(), config)
     assert calls
+
+
+def perfbench_reads():
+    """(file, line, module, name, call) for every `<module>.<name>` in
+    perfbench/*.py whose module was imported from fluxqubit in that file;
+    `call` is the ast.Call when the name is called there, else None."""
+    reads = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "fluxqubit"
+                   for alias in node.names}
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                reads.append((path.name, node.lineno, node.value.id, node.attr,
+                              calls.get(id(node))))
+    return reads
+
+
+def test_every_name_perfbench_reads_from_fluxqubit_exists():
+    reads = perfbench_reads()
+    assert {module for _, _, module, _, _ in reads} >= {
+        "benchmarking", "demux", "cliffords", "qcore", "datafiles", "analysis", "pulsesim",
+        "tomography"}
+    missing = [f"{file}:{line} {module}.{name}" for file, line, module, name, _ in reads
+               if not hasattr(importlib.import_module(f"fluxqubit.{module}"), name)]
+    assert missing == []
+
+
+def test_every_call_perfbench_makes_into_fluxqubit_binds():
+    checked, unbound = [], []
+    for file, line, module, name, call in perfbench_reads():
+        target = getattr(importlib.import_module(f"fluxqubit.{module}"), name, None)
+        if call is None or not callable(target):
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                keyword.arg is None for keyword in call.keywords):
+            continue  # *args or **kwargs: the arity is not in the source
+        try:
+            inspect.signature(target).bind(*call.args, **{k.arg: k for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"{file}:{line} {module}.{name}: {exc}")
+        checked.append(f"{module}.{name}")
+    assert unbound == []
+    # check_perfbench.py builds a DecayRecord from three positional arguments
+    assert "benchmarking.DecayRecord" in checked

@@ -109,7 +109,11 @@ def test_cost_monotone_and_beats_projected_linear_solution():
     record = tm.qpt_record(executor, shots=400, rng=rng)
     choi, diag = tm.reconstruct(record)
     assert all(b <= a + 1e-15 for a, b in zip(diag.cost_history, diag.cost_history[1:]))
-    projected_linear = tm.project_cptp(tm.linear_lsq_choi(record))
+    # reference: the unconstrained least-squares Choi estimate, then projected
+    basis = [np.kron(a, b) / 2.0 for a in qc.PAULI_BASIS for b in qc.PAULI_BASIS]
+    design = np.column_stack([tm.predict_all(b) for b in basis])
+    weights, *_ = np.linalg.lstsq(design, record.entries, rcond=None)
+    projected_linear = tm.project_cptp(sum(w * b for w, b in zip(weights, basis)))
     residual = tm.predict_all(projected_linear) - record.entries
     assert diag.final_cost <= float(residual @ residual) + 1e-12
 
@@ -295,13 +299,17 @@ def test_fixed_point_steps_alone_reach_the_same_projection(monkeypatch, args, fa
     c, _ = projection_input(*args)
     expected = tm.project_cptp(c)
     monkeypatch.setattr(tm, "_newton_step", fake_step)
-    assert np.linalg.norm(tm.project_cptp(c, rounds=2000) - expected) <= 1e-10
+    monkeypatch.setattr(tm, "PROJECTION_ROUNDS", 2000)
+    assert np.linalg.norm(tm.project_cptp(c) - expected) <= 1e-10
 
 
-def test_projection_that_does_not_converge_raises():
+def test_projection_that_does_not_converge_raises(monkeypatch):
     c = random_hermitian(np.random.default_rng(48), 3.0)
-    with pytest.raises(ConsistencyError, match="trace-preservation residual"):
-        tm.project_cptp(c, rounds=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(tm, "PROJECTION_ROUNDS", 1)  # read at call time
+        with pytest.raises(ConsistencyError, match="in 1 eigendecompositions: "
+                                                   "trace-preservation residual"):
+            tm.project_cptp(c)
     counts = []
     tm.project_cptp(c, counts=counts)
     assert counts[0] > 1
