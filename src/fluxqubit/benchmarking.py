@@ -366,9 +366,9 @@ class PBFit:
     fit: FitResult
 
 
-def average_fidelity_from_p(p: float, d: int = 2) -> float:
-    """F = 1/d + p (1 - 1/d)."""
-    return 1.0 / d + p * (1.0 - 1.0 / d)
+def average_fidelity_from_p(p: float) -> float:
+    """F = 1/d + p (1 - 1/d) for one qubit, d = 2."""
+    return 0.5 + p * 0.5
 
 
 def incoherent_error_from_u(u: float) -> float:

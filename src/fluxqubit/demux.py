@@ -339,7 +339,7 @@ def simulate_sequence(p: DeviceParams, seq: PulseSchedule, *, drive_amplitude: f
                       rng: Optional[np.random.Generator] = None):
     """Propagate a compiled program from |g>; returns the engine SimResult."""
     segments = segments_from_schedule(seq, distortion, rng)
-    return run_segments(p, segments, dt, GROUND_STATE, drive_amplitude, collect_series=False)
+    return run_segments(p, segments, dt, GROUND_STATE, drive_amplitude)
 
 
 def compiled_unitary_error(p: DeviceParams, gate, cal: Calibration, *,

@@ -20,10 +20,11 @@ exact 2x2 exponential at the step midpoint, then amplitude damping at
 1/T1(f) and dephasing at 1/T2 - 1/(2 T1).
 A ramp is the product of its ceil(duration / dt) steps; a constant segment
 is one exact step, or with T1/T2 the n-th matrix power of its step map.  The
-step size only sets the accuracy of ramps and T1/T2 and the sampling of time
-series.  The chevron and Ramsey scans take one composed path: the cached
-maps of each column's fixed segments around its swept segment, built for
-every duration at once.  Every measured P_e goes through qcore.read_out.
+step size only sets the accuracy of ramps and T1/T2.  run_segments applies
+one cached map per segment and returns the final state only.  The chevron
+and Ramsey scans take one composed path: the cached maps of each column's
+fixed segments around its swept segment, built for every duration at once.
+Every measured P_e goes through qcore.read_out.
 
 Units: times in ns, frequencies in GHz, currents in uA, T1/T2 in us.
 """
@@ -165,7 +166,10 @@ class PulseSchedule:
 
 @dataclass
 class SimResult:
-    """Sampled excited-state population and the final density matrix."""
+    """The end of a run: its duration, final P_e and final density matrix.
+
+    `times` and `pe` are one-element arrays; the engine keeps no time series.
+    """
 
     times: np.ndarray
     pe: np.ndarray
@@ -325,15 +329,6 @@ def _segment_steps(p: DeviceParams, seg: Segment, n: int, drive_amplitude: float
     return _step_unitary(delta, omega, seg.duration / n), f_mid, fastest
 
 
-def _step_maps(p: DeviceParams, seg: Segment, n: int, drive_amplitude: float):
-    """PTMs of the distinct steps (see _segment_steps) and the fastest rate."""
-    u, f_mid, fastest = _segment_steps(p, seg, n, drive_amplitude)
-    maps = ptm_from_unitary(u)
-    if _has_decoherence(p):
-        maps = _decoherence_ptm(p, f_mid, seg.duration / n) @ maps
-    return maps, fastest
-
-
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
     """[S_0, S_1 S_0, ..., S_n-1 ... S_0] in log2(n) rounds of stacked matmul."""
     out, shift = np.array(maps), 1
@@ -351,9 +346,12 @@ def segment_propagator(p: DeviceParams, seg: Segment, dt: float, drive_amplitude
 
 def _segment_map(p: DeviceParams, seg: Segment, dt: float, drive_amplitude: float):
     """Read-only PTM of one segment and its fastest rate in GHz (see module doc)."""
-    ramp = seg.di_start != seg.di_end
-    n = _step_count(seg, dt) if ramp or _has_decoherence(p) else 1
-    maps, fastest = _step_maps(p, seg, n, drive_amplitude)
+    ramp, decohere = seg.di_start != seg.di_end, _has_decoherence(p)
+    n = _step_count(seg, dt) if ramp or decohere else 1
+    u, f_mid, fastest = _segment_steps(p, seg, n, drive_amplitude)
+    maps = ptm_from_unitary(u)
+    if decohere:
+        maps = _decoherence_ptm(p, f_mid, seg.duration / n) @ maps
     ptm = _prefix_products(maps)[-1] if ramp else np.linalg.matrix_power(maps[0], n)
     ptm.setflags(write=False)
     return ptm, float(fastest)
@@ -385,43 +383,22 @@ def _check_trace(trace_error: float, duration_ns: float) -> None:
 
 
 def run_segments(p: DeviceParams, segments, dt: float, rho0: np.ndarray,
-                 drive_amplitude: float, collect_series: bool = True) -> SimResult:
-    """Propagate rho0 through a segment list; the engine behind evolve().
-
-    Without a series each segment applies its segment_channel.  With one,
-    every segment is cut into ceil(duration / dt) steps and the state after
-    each step comes from one stacked prefix product.
-    """
+                 drive_amplitude: float) -> SimResult:
+    """Propagate rho0 through a segment list, one segment_channel map per segment."""
     check_dt(dt)
     r = pauli_vector(validate_density_matrix(rho0))
-    times, vectors = [np.zeros(1)], [r[None, :]]
     fastest = t = 0.0
     for seg in segments:
         if seg.duration <= 1e-15:
             continue
-        if collect_series:
-            n = _step_count(seg, dt)
-            maps, rate = _step_maps(p, seg, n, drive_amplitude)
-            vectors.append(_prefix_products(np.broadcast_to(maps, (n, 4, 4))) @ r)
-            times.append(t + seg.duration * np.arange(1, n + 1) / n)
-            r = vectors[-1][-1]
-        else:
-            ptm, rate = segment_channel(p, seg, dt, drive_amplitude)
-            r = ptm @ r
+        ptm, rate = segment_channel(p, seg, dt, drive_amplitude)
+        r = ptm @ r
         fastest = max(fastest, rate)
         t += seg.duration
     _check_resolution(dt, fastest)
     _check_trace(abs(r[0] - 1.0), t)
-    vectors = np.concatenate(vectors) if collect_series else r[None, :]
-    times = np.concatenate(times) if collect_series else np.array([t])
-    pe = np.clip(0.5 * (vectors[:, 0] - vectors[:, 3]), 0.0, 1.0)
-    return SimResult(times=times, pe=pe, final_state=density_from_pauli_vector(r))
-
-
-def evolve(p: DeviceParams, s: PulseSchedule, dt: float, rho0: np.ndarray,
-           drive_amplitude: float) -> SimResult:
-    """Simulate a schedule from rho0, sampling P_e roughly every dt ns."""
-    return run_segments(p, segments_from_schedule(s), dt, rho0, drive_amplitude)
+    pe = np.clip([0.5 * (r[0] - r[3])], 0.0, 1.0)
+    return SimResult(times=np.array([t]), pe=pe, final_state=density_from_pauli_vector(r))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return frobenius(m - dagger(m)) < tol
 
 
-def is_unitary(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return frobenius(dagger(m) @ m - np.eye(m.shape[0])) < tol
+def is_unitary(m: np.ndarray) -> bool:
+    return frobenius(dagger(m) @ m - np.eye(m.shape[0])) < HERMITICITY_TOL
 
 
 def phase_aligned_distance(u: np.ndarray, v: np.ndarray):
@@ -77,9 +77,9 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray):
     return float(distance) if distance.ndim == 0 else distance
 
 
-def unitaries_equal(u: np.ndarray, v: np.ndarray, tol: float = PHASE_EQUAL_TOL) -> bool:
+def unitaries_equal(u: np.ndarray, v: np.ndarray) -> bool:
     """True when two matrices agree up to a global phase."""
-    return phase_aligned_distance(u, v) < tol
+    return phase_aligned_distance(u, v) < PHASE_EQUAL_TOL
 
 
 def bloch_rotation(axis, angle: float) -> np.ndarray:
@@ -100,18 +100,18 @@ def bloch_rotation(axis, angle: float) -> np.ndarray:
     )
 
 
-def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity of a density matrix."""
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Check the shape, Hermiticity, unit trace and positivity of a qubit state."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2) and rho.shape != (4, 4):
-        raise ValueError(f"{name} must be 2x2 or 4x4, got {rho.shape}")
+    if rho.shape != (2, 2):
+        raise ValueError(f"rho must be a 2x2 qubit density matrix, got shape {rho.shape}")
     if not is_hermitian(rho):
-        raise ValueError(f"{name} is not Hermitian")
+        raise ValueError("rho is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise ValueError(f"{name} does not have unit trace")
+        raise ValueError("rho does not have unit trace")
     eigenvalues = np.linalg.eigvalsh(rho)
     if eigenvalues.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name} has a negative eigenvalue {eigenvalues.min():.3e}")
+        raise ValueError(f"rho has a negative eigenvalue {eigenvalues.min():.3e}")
     return rho
 
 

@@ -250,25 +250,21 @@ def reconstruct(record: MeasurementRecord):
     """Projected gradient descent onto the CPTP set; returns (choi, diagnostics)."""
     targets = record.entries
     c = np.eye(4, dtype=complex) / 2.0  # maximally mixed channel, trace 2
-
-    def cost_of(m):
-        residual = predict_all(m) - targets
-        return float(residual @ residual)
-
-    cost = cost_of(c)
+    residual = predict_all(c) - targets
+    cost = float(residual @ residual)
     history = [cost]
     converged = False
     iterations = 0
     eighs = []   # one entry per project_cptp call
     for iterations in range(1, MAX_ITERATIONS + 1):
-        residual = predict_all(c) - targets
         gradient = np.einsum("k,kij->ij", 2.0 * residual, _COEFFS)
         gradient = 0.5 * (gradient + dagger(gradient))
         step = STEP_SIZE
         improved = False
         for _ in range(60):
             trial = project_cptp(c - step * gradient, counts=eighs)
-            trial_cost = cost_of(trial)
+            trial_residual = predict_all(trial) - targets
+            trial_cost = float(trial_residual @ trial_residual)
             if trial_cost <= cost:
                 improved = True
                 break
@@ -277,7 +273,7 @@ def reconstruct(record: MeasurementRecord):
             converged = True  # no feasible descent: constrained optimum
             break
         change = cost - trial_cost
-        c, cost = trial, trial_cost
+        c, residual, cost = trial, trial_residual, trial_cost
         history.append(cost)
         if change < COST_TOLERANCE:
             converged = True

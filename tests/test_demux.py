@@ -405,8 +405,6 @@ def _run_with_dt(entry, dt):
                             t_half=cal.t_pi / 2, drive_amplitude=DRIVE, rise_time=1.0, dt=dt)
     elif entry == "run_segments":
         ps.run_segments(p, ps.segments_from_schedule(program), dt, ps.GROUND_STATE, DRIVE)
-    elif entry == "evolve":
-        ps.evolve(p, program, dt, ps.GROUND_STATE, DRIVE)
     elif entry == "simulate_sequence":
         dx.simulate_sequence(p, program, drive_amplitude=DRIVE, dt=dt)
     else:
@@ -415,7 +413,7 @@ def _run_with_dt(entry, dt):
 
 @pytest.mark.parametrize("dt", [0.0, -0.05, float("nan")])
 @pytest.mark.parametrize("entry", ["rabi_chevron", "ramsey_axis_scan", "run_segments",
-                                   "evolve", "simulate_sequence", "sequence_unitary"])
+                                   "simulate_sequence", "sequence_unitary"])
 def test_every_entry_point_rejects_a_step_that_is_not_positive_and_finite(entry, dt):
     _run_with_dt(entry, 0.05)
     with pytest.raises(ValueError, match="dt must be positive and finite"):

@@ -49,6 +49,23 @@ def test_tracer_wraps_every_name_and_restores_it(spans):
     assert tracer.counts["pulsesim.ramsey_axis_scan.cells"] == 71
 
 
+def test_tracer_observers_read_the_engine_and_reconstruction_results(spans):
+    device = datafiles.load_bundled_device("device_demux.cfg")
+    cal = demux.nominal_calibration(device, 0.7)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        demux.qpt_pipeline(device, cal, ["X90"], drive_amplitude=0.7)
+    finally:
+        tracer.restore()
+    # one engine run per preparation and measurement setting, one reconstruction
+    assert len(tracer.values["pulsesim.sim_ns"]) == 36
+    assert all(t > 0.0 for t in tracer.values["pulsesim.sim_ns"])
+    assert max(tracer.values["pulsesim.trace_drift"]) < pulsesim.TRACE_TOL_PER_US
+    assert len(tracer.values["tomography.reconstruct.iterations"]) == 1
+    assert tracer.values["tomography.reconstruct.converged"] == [True]
+
+
 @pytest.mark.parametrize("module, name", SAMPLED)
 def test_sampled_calls_exist_and_are_looked_up(monkeypatch, module, name):
     calls = []

@@ -78,10 +78,10 @@ def test_resonant_rabi_matches_sine_squared():
     p = demux_device()
     di = resonant_delta_i(p)
     omega = p.rabi_frequency(0.7)
-    schedule = ps.single_pulse_schedule(di, 120.0, 0.0)
-    result = ps.evolve(p, schedule, 0.05, ps.GROUND_STATE, 0.7)
-    expected = np.sin(np.pi * omega * result.times) ** 2
-    assert np.max(np.abs(result.pe - expected)) < 1e-9
+    t = np.linspace(0.0, 120.0, 2401)
+    pe = ps.rabi_chevron(p, [di], t, drive_amplitude=0.7, dt=0.05)[:, 0]
+    expected = np.sin(np.pi * omega * t) ** 2
+    assert np.max(np.abs(pe - expected)) < 1e-9
 
 
 def test_pi_pulse_time_anchor():
@@ -89,12 +89,8 @@ def test_pi_pulse_time_anchor():
     p = demux_device()
     di = resonant_delta_i(p)
     t = np.linspace(0.0, 160.0, 321)
-    trace = [
-        ps.evolve(p, ps.single_pulse_schedule(di, ti, 0.0), 0.05,
-                  ps.GROUND_STATE, 0.7).pe[-1]
-        for ti in t
-    ]
-    fit = an.fit_nlls("cosine_fringe", t, np.asarray(trace))
+    trace = ps.rabi_chevron(p, [di], t, drive_amplitude=0.7, dt=0.05)[:, 0]
+    fit = an.fit_nlls("cosine_fringe", t, trace)
     t_pi = 1.0 / (2.0 * fit["f"])
     assert abs(t_pi - 40.65) < 0.2
 
@@ -106,15 +102,11 @@ def test_detuned_rabi_matches_generalized_formula():
     f_target = p.f_cw + delta
     di = ps.current_from_freq(p, f_target) - p.i_idle
     t = np.linspace(0.0, 200.0, 401)
-    pe = [
-        ps.evolve(p, ps.single_pulse_schedule(di, ti, 0.0), 0.04,
-                  ps.GROUND_STATE, 0.7).pe[-1]
-        for ti in t
-    ]
+    pe = ps.rabi_chevron(p, [di], t, drive_amplitude=0.7, dt=0.04)[:, 0]
     generalized = np.hypot(delta, omega)
     amplitude = omega**2 / generalized**2
     expected = amplitude * np.sin(np.pi * generalized * t) ** 2
-    assert np.max(np.abs(np.asarray(pe) - expected)) < 0.01 * amplitude
+    assert np.max(np.abs(pe - expected)) < 0.01 * amplitude
 
 
 def test_free_precession_fringe_period():
@@ -153,8 +145,8 @@ def test_ramsey_axis_extremes():
 def test_trace_and_purity_preserved_without_decoherence():
     p = demux_device()
     di = resonant_delta_i(p)
-    schedule = ps.single_pulse_schedule(di, 50.0, 2.0)
-    result = ps.evolve(p, schedule, 0.02, ps.GROUND_STATE, 0.7)
+    segments = ps.segments_from_schedule(ps.single_pulse_schedule(di, 50.0, 2.0))
+    result = ps.run_segments(p, segments, 0.02, ps.GROUND_STATE, 0.7)
     assert abs(np.trace(result.final_state).real - 1.0) < 1e-9
     assert abs(purity(result.final_state) - 1.0) < 1e-9
 
@@ -162,8 +154,8 @@ def test_trace_and_purity_preserved_without_decoherence():
 def test_trace_preserved_with_decoherence():
     p = demux_device(t1=20.0, t2=10.0)
     di = resonant_delta_i(p)
-    schedule = ps.single_pulse_schedule(di, 200.0, 2.0)
-    result = ps.evolve(p, schedule, 0.05, ps.GROUND_STATE, 0.7)
+    segments = ps.segments_from_schedule(ps.single_pulse_schedule(di, 200.0, 2.0))
+    result = ps.run_segments(p, segments, 0.05, ps.GROUND_STATE, 0.7)
     assert abs(np.trace(result.final_state).real - 1.0) < 1e-9
     assert purity(result.final_state) < 1.0
 
@@ -171,17 +163,26 @@ def test_trace_preserved_with_decoherence():
 def test_step_size_convergence_through_ramps():
     p = demux_device()
     di = resonant_delta_i(p) + 2.0
-    schedule = ps.single_pulse_schedule(di, 30.0, 2.0)
-    coarse = ps.evolve(p, schedule, 0.01, ps.GROUND_STATE, 0.7).pe[-1]
-    fine = ps.evolve(p, schedule, 0.005, ps.GROUND_STATE, 0.7).pe[-1]
+    segments = ps.segments_from_schedule(ps.single_pulse_schedule(di, 30.0, 2.0))
+    coarse = ps.run_segments(p, segments, 0.01, ps.GROUND_STATE, 0.7).pe[-1]
+    fine = ps.run_segments(p, segments, 0.005, ps.GROUND_STATE, 0.7).pe[-1]
     assert abs(coarse - fine) < 1e-6
 
 
-def test_evolve_rejects_coarse_dt():
+def test_run_segments_rejects_coarse_dt():
     p = demux_device()
-    schedule = ps.single_pulse_schedule(resonant_delta_i(p), 30.0, 0.0)
+    segments = ps.segments_from_schedule(ps.single_pulse_schedule(resonant_delta_i(p), 30.0, 0.0))
     with pytest.raises(ValueError):
-        ps.evolve(p, schedule, 5.0, ps.GROUND_STATE, 0.7)
+        ps.run_segments(p, segments, 5.0, ps.GROUND_STATE, 0.7)
+
+
+@pytest.mark.parametrize("rho0", [np.eye(4) / 4, np.eye(3) / 3, np.array([1.0, 0.0])])
+def test_a_state_that_is_not_2x2_is_rejected_by_shape(rho0):
+    p = demux_device()
+    with pytest.raises(ValueError, match=r"2x2 qubit density matrix, got shape"):
+        ps.run_segments(p, [ps.Segment(5.0, 0.0, 0.0, True)], 0.05, rho0, 0.7)
+    with pytest.raises(ValueError, match=r"2x2 qubit density matrix, got shape"):
+        purity(rho0)
 
 
 def test_schedule_validation():
@@ -386,7 +387,7 @@ def test_device_is_hashable_with_a_list_of_dips():
     p = demux_device(tls_dips=[dip])
     assert p.tls_dips == (dip,) and hash(p) == hash(demux_device(tls_dips=(dip,)))
     segments = [ps.Segment(5.0, 0.0, 0.0, True)]
-    result = ps.run_segments(p, segments, 0.05, ps.GROUND_STATE, 0.7, collect_series=False)
+    result = ps.run_segments(p, segments, 0.05, ps.GROUND_STATE, 0.7)
     assert result.pe[-1] > 0.0
 
 
@@ -421,7 +422,7 @@ def _oracle_decoherence(rho, p, f_mid, tau):
     return rho
 
 
-def _oracle_run(p, segments, dt, rho, drive_amplitude, collect_series):
+def _oracle_run(p, segments, dt, rho, drive_amplitude):
     """One Trotter step per dt: midpoint exponential, then the Kraus updates."""
     decohere = not np.isinf(p.t1) or not np.isinf(p.t2) or bool(p.tls_dips)
     times, pes, t, fastest = [0.0], [rho[1, 1].real], 0.0, 0.0
@@ -429,7 +430,7 @@ def _oracle_run(p, segments, dt, rho, drive_amplitude, collect_series):
         if seg.duration <= 1e-15:
             continue
         ramp = seg.di_start != seg.di_end
-        n = max(1, int(np.ceil(seg.duration / dt))) if ramp or collect_series or decohere else 1
+        n = max(1, int(np.ceil(seg.duration / dt))) if ramp or decohere else 1
         tau = seg.duration / n
         omega = p.rabi_frequency(drive_amplitude) if seg.drive else 0.0
         for k in range(n):
@@ -463,31 +464,23 @@ _coherence = st.sampled_from([(np.inf, np.inf), (20.0, 10.0), (3.0, 5.0), (np.in
     dt=st.sampled_from([0.02, 0.05, 0.1, 0.5]),
     drive_amplitude=st.sampled_from([0.0, 0.7, 1.3]),
     bloch=st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)),
-    collect_series=st.booleans(),
 )
-def test_run_segments_matches_step_loop(segments, coherence, dip, dt, drive_amplitude,
-                                        bloch, collect_series):
+def test_run_segments_matches_step_loop(segments, coherence, dip, dt, drive_amplitude, bloch):
     t1, t2 = coherence
     dips = (ps.TlsDip(center_ghz=5.10, width_mhz=40.0, t1_dip_us=0.5),) if dip else ()
     p = demux_device(t1=t1, t2=t2, tls_dips=dips)
     v = np.asarray(bloch) / max(1.0, np.linalg.norm(bloch))
     rho0 = 0.5 * (np.eye(2) + v[0] * qc.SIGMA_X + v[1] * qc.SIGMA_Y + v[2] * qc.SIGMA_Z)
-    times, pes, rho, fastest = _oracle_run(p, segments, dt, rho0, drive_amplitude,
-                                           collect_series)
+    times, pes, rho, fastest = _oracle_run(p, segments, dt, rho0, drive_amplitude)
     if fastest > 0 and dt > ps.DT_SAFETY_FACTOR / fastest:
         with pytest.raises(ValueError, match=f"need dt <= {ps.DT_SAFETY_FACTOR / fastest:.4g} ns"):
-            ps.run_segments(p, segments, dt, rho0, drive_amplitude,
-                            collect_series=collect_series)
+            ps.run_segments(p, segments, dt, rho0, drive_amplitude)
         return
-    result = ps.run_segments(p, segments, dt, rho0, drive_amplitude,
-                             collect_series=collect_series)
+    result = ps.run_segments(p, segments, dt, rho0, drive_amplitude)
     assert np.max(np.abs(result.final_state - rho)) <= 1e-10
-    if collect_series:
-        assert result.times.shape == times.shape
-        assert np.max(np.abs(result.times - times)) <= 1e-10
-        assert np.max(np.abs(result.pe - np.clip(pes, 0.0, 1.0))) <= 1e-10
-    else:
-        assert abs(result.times[-1] - times[-1]) <= 1e-10
+    assert result.times.shape == result.pe.shape == (1,)
+    assert abs(result.times[-1] - times[-1]) <= 1e-10
+    assert abs(result.pe[-1] - np.clip(pes[-1], 0.0, 1.0)) <= 1e-10
 
 
 def test_segment_channel_is_memoised_and_read_only():
@@ -534,8 +527,7 @@ _SCAN_DEVICES = {
 
 def _cell_reference(p, segments, dt, drive_amplitude):
     """Read-out P_e of one scan cell from its own run_segments call."""
-    result = ps.run_segments(p, segments, dt, ps.GROUND_STATE, drive_amplitude,
-                             collect_series=False)
+    result = ps.run_segments(p, segments, dt, ps.GROUND_STATE, drive_amplitude)
     return 0.5 + p.visibility * (result.pe[-1] - 0.5)
 
 
@@ -630,8 +622,7 @@ def test_a_nan_state_fails_the_trace_check(monkeypatch):
     nan_map = (np.full((4, 4), np.nan), 0.1)
     monkeypatch.setattr(ps, "segment_channel", lambda *args: nan_map)
     with pytest.raises(ConsistencyError, match="trace drifted by nan"):
-        ps.run_segments(p, [ps.Segment(5.0, 0.0, 0.0, True)], 0.05, ps.GROUND_STATE, 0.7,
-                        collect_series=False)
+        ps.run_segments(p, [ps.Segment(5.0, 0.0, 0.0, True)], 0.05, ps.GROUND_STATE, 0.7)
     with pytest.raises(ConsistencyError, match="trace drifted by nan"):
         ps.rabi_chevron(p, [resonant_delta_i(p)], [0.0, 5.0], drive_amplitude=0.7,
                         rise_time=1.0)
