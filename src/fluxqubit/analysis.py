@@ -21,17 +21,17 @@ vanishing Jacobian, or a singular step) gets its FitError in its place and
 leaves the other rows untouched.  ``fit_nlls`` is the one-row view and
 raises that error instead.  Each ``fit_nlls_rows`` call logs one DEBUG
 record: rows, failed rows and the largest iteration count.
-Initial guesses are automatic: frequencies come from a coarse discrete
-spectrum evaluated by direct summation (no uniform-grid requirement),
-amplitudes and phases from linear regression at the fixed frequency, and
-exponential-decay parameters from a log-linear regression.
+Initial guesses are automatic, one call for all rows: frequencies from one
+product with a coarse direct-sum spectrum (no uniform-grid requirement),
+amplitudes and phases from one stacked regression at those frequencies, and
+exponential-decay parameters from a log-linear regression per row.
 
 The spectrum's frequency grid and its exp(-2 pi i f x) kernel depend only
 on the sample grid x, so they are built once per grid and kept in a
-bounded cache (8 grids); each call is then one matrix-vector product and
-an argmax.  A cache entry holds 16 bytes * n_freq * len(x), where n_freq
-is about SPECTRUM_OVERSAMPLE / 2 * len(x), i.e. 4 * len(x) at the fixed
-oversample of 8 on a uniform grid: 0.4 MB for an 81-point scan.
+bounded cache (8 grids); each call, on one series or a stack, is then one
+matrix product and an argmax.  A cache entry holds 16 bytes * n_freq *
+len(x), n_freq being about SPECTRUM_OVERSAMPLE / 2 * len(x), i.e. 4 * len(x)
+at the fixed oversample of 8 on a uniform grid: 0.4 MB for an 81-point scan.
 """
 
 from __future__ import annotations
@@ -150,29 +150,41 @@ def _spectrum_kernel(x_bytes: bytes):
     return freqs, kernel
 
 
-def coarse_spectrum_peak(x, y) -> float:
-    """Frequency of the largest discrete-spectrum component, by direct sums."""
+def coarse_spectrum_peak(x, y):
+    """Frequency of the largest discrete-spectrum component, by direct sums:
+    a float for one series y on the grid x, k frequencies for a (k, n) stack."""
     x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != x.size:
+        raise ValueError(f"y has shape {y.shape}, but each series needs len(x) = {x.size} points")
     freqs, kernel = _spectrum_kernel(x.tobytes())
-    centered = y - np.mean(y)
-    power = np.abs(kernel @ centered)
-    return float(freqs[np.argmax(power)])
+    centered = y - np.mean(y, axis=-1, keepdims=True)
+    peaks = freqs[np.argmax(np.abs(kernel @ centered.T), axis=0)]
+    return float(peaks) if y.ndim == 1 else peaks
 
 
-def _oscillation_guess(x, y):
-    c = float(np.mean(y))
+def _oscillation_guess(x, Y):
+    """(k, 4) starts (A, f, phi, C) for a (k, n) stack: row means, spectrum
+    peaks, and A and phi from one stacked least-squares solve for the cos/sin
+    amplitudes.  A non-finite row gets a NaN start, which its fit rejects."""
+    starts = np.full((len(Y), 4), np.nan)
+    finite = np.isfinite(Y).all(axis=1)
+    y = Y[finite]
+    c = np.mean(y, axis=1)
     f = coarse_spectrum_peak(x, y)
-    arg = 2 * np.pi * f * x
-    design = np.column_stack([np.cos(arg), np.sin(arg)])
-    coef, *_ = np.linalg.lstsq(design, y - c, rcond=None)
-    a_cos, b_sin = coef
-    amplitude = float(np.hypot(a_cos, b_sin))
-    phi = float(np.arctan2(-b_sin, a_cos))
-    return np.array([amplitude, f, phi, c])
+    arg = 2 * np.pi * f[:, None] * x
+    design = np.stack([np.cos(arg), np.sin(arg)], axis=2)  # (k, n, 2)
+    # lstsq's rank cutoff: at the grid's Nyquist frequency the sine column vanishes
+    coef = np.linalg.pinv(design, x.size * np.finfo(float).eps) @ (y - c[:, None])[..., None]
+    a_cos, b_sin = coef[..., 0].T
+    starts[finite] = np.column_stack([np.hypot(a_cos, b_sin), f, np.arctan2(-b_sin, a_cos), c])
+    return starts
 
 
 MODELS = {
-    "exp_decay": (_exp_decay, _exp_decay_jac, _exp_decay_guess, ("A", "p", "B")),
+    "exp_decay": (_exp_decay, _exp_decay_jac,
+                  lambda x, Y: np.array([_exp_decay_guess(x, y) for y in Y]).reshape(-1, 3),
+                  ("A", "p", "B")),
     "cosine_fringe": (_cosine_fringe, _cosine_fringe_jac, _oscillation_guess,
                       ("A", "f", "phi", "C")),
 }
@@ -339,26 +351,22 @@ def fit_nlls_rows(model: str, x, Y, p0=None) -> list:
         raise ValueError("x must be one-dimensional and Y a stack of rows of its length")
     if len(x) < len(names) + 1:
         raise ValueError(f"need at least {len(names) + 1} points to fit {model}")
-    results = [None] * len(Y)
+    results = []
     if p0 is None:
-        starts = []
-        for i, y in enumerate(Y):
-            try:
-                starts.append(guess_fn(x, y))
-            except FitError as exc:
-                results[i] = exc
+        try:
+            starts = guess_fn(x, Y)
+        except FitError as exc:  # the shared grid gives no row a start
+            results = [type(exc)(*exc.args) for _ in Y]
     else:
         if isinstance(p0, dict):
             p0 = [p0[name] for name in names]
         starts = np.empty((len(Y), len(names)))
         starts[:] = p0
-    rows = [i for i, result in enumerate(results) if result is None]
-    Y = Y[rows]
-    if rows:
+    if len(Y) and not results:
         fitted = levenberg_marquardt(lambda P, sub: Y[sub] - fn(x, P), lambda P: -jac_fn(x, P),
                                      starts)
-        for i, entry in zip(rows, fitted):
-            results[i] = entry if isinstance(entry, FitError) else _fit_result(names, *entry)
+        results = [entry if isinstance(entry, FitError) else _fit_result(names, *entry)
+                   for entry in fitted]
     if _log.isEnabledFor(logging.DEBUG):
         iterations = [r.iterations for r in results if isinstance(r, FitResult)]
         _log.debug("fit_nlls_rows %s: %d rows, %d failed, at most %d iterations", model,

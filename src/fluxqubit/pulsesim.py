@@ -22,8 +22,9 @@ A ramp is the product of its ceil(duration / dt) steps; a constant segment
 is one exact step, or with T1/T2 the n-th matrix power of its step map.  The
 step size only sets the accuracy of ramps and T1/T2.  run_segments applies
 one cached map per segment and returns the final state only.  The chevron
-and Ramsey scans take one composed path: the cached maps of each column's
-fixed segments around its swept segment, built for every duration at once.
+and Ramsey scans propagate every (column, duration) cell at once: the cached
+maps of the fixed segments, stacked over the columns position by position,
+around a swept segment built for the whole grid in one call.
 Every measured P_e goes through qcore.read_out.
 
 Units: times in ns, frequencies in GHz, currents in uA, T1/T2 in us.
@@ -32,6 +33,7 @@ Units: times in ns, frequencies in GHz, currents in uA, T1/T2 in us.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -53,6 +55,8 @@ from .qcore import (
     relaxation_ptm,
     validate_density_matrix,
 )
+
+_log = logging.getLogger(__name__)
 
 GROUND_STATE = np.array([[1, 0], [0, 0]], dtype=complex)
 EXCITED_STATE = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -420,12 +424,14 @@ def _scan(p: DeviceParams, columns, durations, *, drive_amplitude: float, dt: fl
           shots: Optional[int], seed: int) -> np.ndarray:
     """Read-out P_e map from |g>; rows index `durations`, one column per entry.
 
-    A column (before, delta_i, drive, after) runs the fixed segments `before`
-    (cached segment_channel maps), a constant segment at delta_i with the
-    drive flag `drive` for every duration at once, then `after`.  That
-    segment is the closed-form step, or with T1/T2 each duration's uncached
-    step-map power, so one-off maps stay out of the cache.  Cells share one
-    dt check (the idle detuning and every rate) and the engine's trace check.
+    A column (before, delta_i, drive, after) runs the fixed segments `before`,
+    a constant segment at delta_i with the drive flag `drive`, then `after`;
+    columns have equally many fixed segments.  Every cell propagates at once:
+    the cached maps at each fixed position are stacked over the columns, and
+    the swept segment is one closed-form step per cell (with T1/T2 each
+    cell's uncached step-map power, keeping one-off maps out of the cache).
+    Cells share one dt check and keep each column's trace check; each scan
+    logs one DEBUG record of the grid, dt against its limit and worst drift.
     """
     check_dt(dt)
     durations = np.asarray(durations, dtype=float)
@@ -433,29 +439,36 @@ def _scan(p: DeviceParams, columns, durations, *, drive_amplitude: float, dt: fl
         raise ValueError("scan grids must be non-empty")
     if np.any(durations < 0):
         raise ValueError("scan durations must be non-negative")
-    omega = p.rabi_frequency(drive_amplitude)
-    fastest = abs(p.idle_frequency - p.f_cw)
-    pe = np.empty((durations.size, len(columns)))
-    for j, (before, delta_i, drive, after) in enumerate(columns):
-        fixed_ns = sum(seg.duration for seg in before + after)
-        before, after = ([segment_channel(p, seg, dt, drive_amplitude)
-                          for seg in part if seg.duration > 1e-15] for part in (before, after))
-        delta = freq_from_current(p, p.i_idle + delta_i) - p.f_cw
-        fastest = max(fastest, abs(delta), omega if drive else 0.0,
-                      *(rate for _, rate in before + after))
-        if _has_decoherence(p):
-            swept = np.array([_segment_map(p, Segment(t, delta_i, delta_i, drive), dt,
-                                           drive_amplitude)[0] for t in durations])
-        else:
-            swept = ptm_from_unitary(_step_unitary(delta, omega if drive else 0.0, durations))
-        r = pauli_vector(GROUND_STATE)
-        for ptm in [ptm for ptm, _ in before] + [swept] + [ptm for ptm, _ in after]:
-            r = (ptm @ r[..., None])[..., 0]  # map by map, as run_segments applies them
-        # each column's worst cell against its shortest cell's (tightest) tolerance
-        _check_trace(np.max(np.abs(r[:, 0] - 1.0)), fixed_ns + durations.min())
-        pe[:, j] = 0.5 * (r[:, 0] - r[:, 3])
+    segments_before, delta_i, drive, segments_after = zip(*columns)
+    fixed = [[[segment_channel(p, seg, dt, drive_amplitude) for seg in segments
+               if seg.duration > 1e-15] for segments in part]
+             for part in (segments_before, segments_after)]
+    omega = np.where(drive, p.rabi_frequency(drive_amplitude), 0.0)
+    delta = freq_from_current(p, p.i_idle + np.array(delta_i)) - p.f_cw
+    fastest = max(abs(p.idle_frequency - p.f_cw), np.max(np.abs(delta)), np.max(omega),
+                  *(rate for part in fixed for maps in part for _, rate in maps))
+    if _has_decoherence(p):
+        swept = np.array([[_segment_map(p, Segment(t, di, di, on), dt, drive_amplitude)[0]
+                           for di, on in zip(delta_i, drive)] for t in durations])
+    else:
+        swept = ptm_from_unitary(_step_unitary(delta, omega, durations[:, None]))
+    # one (columns, 4, 4) stack of cached maps per fixed-segment position
+    before, after = (np.array([[ptm for ptm, _ in maps] for maps in part])
+                     .reshape(len(columns), -1, 4, 4).swapaxes(0, 1) for part in fixed)
+    r = pauli_vector(GROUND_STATE)
+    for ptm in [*before, swept, *after]:
+        r = (ptm @ r[..., None])[..., 0]  # map by map, as run_segments applies them
+    drift = np.max(np.abs(r[..., 0] - 1.0), axis=0)  # each column's worst cell
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("scan %d columns x %d durations: dt %.4g ns, limit %.4g ns, "
+                   "worst trace drift %.3e", len(columns), durations.size, dt,
+                   DT_SAFETY_FACTOR / fastest if fastest > 0 else math.inf, np.max(drift))
+    # each column against its shortest cell's (tightest) tolerance
+    for error, head, tail in zip(drift.tolist(), segments_before, segments_after):
+        _check_trace(error, sum(seg.duration for seg in head + tail) + durations.min())
     _check_resolution(dt, fastest)
-    return read_out(pe, p.visibility, shots, np.random.default_rng(seed))
+    return read_out(0.5 * (r[..., 0] - r[..., 3]), p.visibility, shots,
+                    np.random.default_rng(seed))
 
 
 def rabi_chevron(p: DeviceParams, delta_i_grid, t_grid, *, drive_amplitude: float,

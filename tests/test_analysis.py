@@ -1,6 +1,9 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
@@ -222,6 +225,11 @@ def test_cached_spectrum_peak_equals_the_direct_sum(x, seed):
     expected = direct_spectrum_peak(x, y)
     assert an.coarse_spectrum_peak(x, y) == expected
     assert an.coarse_spectrum_peak(x, y) == expected  # cache hit
+    # a stack of rows gives each row's peak from one product
+    Y = np.array([y, y[::-1], rng.normal(size=x.size), np.cos(np.pi * x / np.ptp(x))])
+    peaks = an.coarse_spectrum_peak(x, Y)
+    assert peaks.shape == (len(Y),)
+    assert peaks.tolist() == [direct_spectrum_peak(x, row) for row in Y]
     # repeated points included, the grid equals the np.unique-spacing form
     freqs, _ = an._spectrum_kernel(x.tobytes())
     assert np.array_equal(freqs, direct_frequency_grid(x))
@@ -256,14 +264,23 @@ def test_zero_span_raises_on_every_call():
 
 
 def test_calibration_builds_one_kernel_per_scan_grid():
-    # 25 + 21 + 21 chevron columns share the Rabi grid, as does the resonant
-    # Rabi fit; the axis fringe has its own grid
+    # one lookup per fit call: the three chevron stages (25, 21 and 21
+    # columns) and the resonant Rabi fit share the Rabi grid; the axis fringe
+    # has its own grid
     p = df.load_bundled_device("device_demux.cfg")
     before = an._spectrum_kernel.cache_info()
     dx.calibrate(p, drive_amplitude=0.7, rise_time=1.0)
     after = an._spectrum_kernel.cache_info()
-    assert (after.hits + after.misses) - (before.hits + before.misses) == 69
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 5
     assert after.misses - before.misses <= 2
+
+
+def test_a_spectrum_peak_needs_one_sample_per_grid_point():
+    x = np.linspace(0.0, 10.0, 8)
+    for y in (np.arange(7.0), np.ones((3, 9)), np.ones((2, 2, 8))):
+        with pytest.raises(ValueError, match=rf"y has shape {re.escape(str(y.shape))}, "
+                                             r"but each series needs len\(x\) = 8 points"):
+            an.coarse_spectrum_peak(x, y)
 
 
 @st.composite
@@ -300,6 +317,31 @@ def test_each_row_of_a_batched_fit_matches_its_single_fit(case):
         assert_same_fit(row, an.fit_nlls(model, x, y))
 
 
+def lstsq_oscillation_start(x, y):
+    """The per-row start (A, f, phi, C) by np.linalg.lstsq, kept as the reference."""
+    c = np.mean(y)
+    f = direct_spectrum_peak(x, y)
+    design = np.column_stack([np.cos(2 * np.pi * f * x), np.sin(2 * np.pi * f * x)])
+    (a_cos, b_sin), *_ = np.linalg.lstsq(design, y - c, rcond=None)
+    return [np.hypot(a_cos, b_sin), f, np.arctan2(-b_sin, a_cos), c]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=fit_rows().filter(lambda case: case[0] == "cosine_fringe"))
+# a peak at the grid's Nyquist frequency, where the sine column vanishes
+@example(case=("cosine_fringe", np.arange(12.0), 0.5 + 0.3 * (-1.0) ** np.arange(12.0)[None]))
+def test_stacked_cosine_starts_match_per_row_least_squares(case):
+    _, x, Y = case
+    for start, y in zip(an._oscillation_guess(x, Y), Y):
+        amplitude, f, phi, c = lstsq_oscillation_start(x, y)
+        assert start[1] == f
+        assert abs(start[3] - c) <= 1e-15
+        # compare the cos/sin amplitudes: phi wraps at +-pi when b_sin is near 0
+        assert np.allclose(start[0] * np.array([np.cos(start[2]), np.sin(start[2])]),
+                           amplitude * np.array([np.cos(phi), np.sin(phi)]),
+                           rtol=0.0, atol=1e-12)
+
+
 def test_a_nan_row_fails_alone():
     x = np.arange(12.0)
     Y = np.array([0.4 * q**x + 0.5 for q in (0.9, 0.8, 0.95)])
@@ -310,6 +352,20 @@ def test_a_nan_row_fails_alone():
     for i in (0, 2):
         assert results[i] == an.fit_nlls("exp_decay", x, Y[i])
     assert [results[0], results[2]] == an.fit_nlls_rows("exp_decay", x, Y[[0, 2]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_row_fails_alone_in_a_cosine_batch(bad):
+    x = np.linspace(0.0, 40.0, 61)
+    Y = np.array([0.4 * np.cos(2 * np.pi * f * x + 0.3) + 0.5 for f in (0.05, 0.08, 0.11)])
+    Y[1, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        results = an.fit_nlls_rows("cosine_fringe", x, Y)
+    assert isinstance(results[1], FitError)
+    assert str(results[1]) == "residual is not finite at the initial guess"
+    for i in (0, 2):
+        assert results[i] == an.fit_nlls("cosine_fringe", x, Y[i])
 
 
 def test_a_failed_guess_is_returned_per_row():

@@ -595,6 +595,20 @@ def test_scan_dt_check_covers_idle_detuning_and_the_swept_rate():
         ps.rabi_chevron(p, [resonant, far], [1.0], drive_amplitude=0.7, dt=1.01 * swept_limit)
 
 
+def test_each_scan_logs_one_debug_record(caplog):
+    p = demux_device()
+    idle_limit = ps.DT_SAFETY_FACTOR / abs(p.idle_frequency - p.f_cw)
+    with caplog.at_level("DEBUG", logger="fluxqubit.pulsesim"):
+        ps.rabi_chevron(p, [resonant_delta_i(p)] * 3, [0.0, 7.0], drive_amplitude=0.7,
+                        rise_time=1.0)
+    records = [r for r in caplog.records if r.name == "fluxqubit.pulsesim"]
+    assert len(records) == 1
+    message = records[0].getMessage()
+    prefix = f"scan 3 columns x 2 durations: dt 0.05 ns, limit {idle_limit:.4g} ns, "
+    assert message.startswith(prefix + "worst trace drift ")
+    assert 0.0 <= float(message[len(prefix + "worst trace drift "):]) <= ps.TRACE_TOL_PER_US
+
+
 def test_scan_rejects_negative_durations():
     p = demux_device()
     with pytest.raises(ValueError, match="non-negative"):
