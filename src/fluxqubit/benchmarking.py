@@ -12,18 +12,22 @@ A' u^(m-1) + B'; the incoherent error is (1 - sqrt(u)) / 2.  It compiles
 and multiplies the base string once and each analysis rotation from the
 base's outgoing frame and state.
 
-A backend has `channel(pulses)`, the 4x4 Pauli transfer matrix (PTM) of
-(rotation amount, axis angle) pulses, for PB; `run(pulses, shots, rng)`, the
-P_g estimate, for RB; `visibility`; and `survival_probability(pulse_count)`
-if `supports_survival_shortcut`.  The bundled backends memoise one read-only
-PTM per distinct pulse (virtual-Z compilation emits 12) and apply a string's
-tree-reduced product to |g>.  The channel backend's PTM is a rotation
-with over-rotation and axis error, then depolarizing, then amplitude
-damping; the pulse backend's is an ideal rotation, then fixed-duration T1
-damping and dephasing.  Depolarizing-only noise takes a closed-form
-survival shortcut instead (see ChannelBackend.supports_survival_shortcut).
-Both paths give the true P_g, and qcore.read_out applies the visibility and
-the shots.
+A compiled string is a list of Clifford step ids (see `cliffords`).  A
+backend has `channel(steps)`, the 4x4 Pauli transfer matrix (PTM) of step
+ids, for PB; `run(steps, shots, rng)`, the P_g estimate, for RB;
+`visibility`; and `survival_probability(pulse_count)` if
+`supports_survival_shortcut`.  The bundled backends build one read-only
+table of a PTM per step from their 12 distinct pulse PTMs, and apply a
+string's tree-reduced product of table entries to |g>.  The channel
+backend's pulse PTM is a rotation with over-rotation and axis error, then
+depolarizing, then amplitude damping; the pulse backend's is an ideal
+rotation, then fixed-duration T1 damping and dephasing.  Depolarizing-only
+noise takes a closed-form survival shortcut instead (see
+ChannelBackend.supports_survival_shortcut).  Both paths give the true P_g,
+and qcore.read_out applies the visibility and the shots.
+
+`run_rb` and `run_pb` each log one DEBUG record: sequences, step maps
+multiplied, distinct steps and wall time.
 
 The temporal-stability run refits a moving window of iterations around each
 iteration.  Under the survival shortcut it sums each string's pulse count
@@ -36,7 +40,9 @@ returned with the series.
 from __future__ import annotations
 
 import functools
+import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -44,10 +50,8 @@ from typing import Optional
 import numpy as np
 
 from . import ConsistencyError, FitError, check_shots, cliffords, is_count, wrap_error
-from .analysis import FitResult, fit_nlls, fit_nlls_rows
+from .analysis import MODELS, FitResult, fit_nlls, fit_nlls_rows
 from .cliffords import (
-    QUARTER_TURNS,
-    PhysicalPulseList,
     _compile_cliffords,
     compile_virtual_z,  # not called here: perfbench's tracer looks both names up in
     decompose,          # this module to wrap them, so they stay importable from it
@@ -57,15 +61,19 @@ from .qcore import (bloch_rotation, check_coherence_times, ptm_from_unitary, ptm
                     read_out, relaxation_factors, relaxation_ptm)
 
 _GATES = enumerate_cliffords()
-# Group tables as arrays; per element, its decomposition count and the pulse
-# count of each choice (frame-independent; unused choices count 0).
+# Group tables as arrays; the pulse count of every Clifford step; per element,
+# its decomposition count and the pulse count of each choice
+# (frame-independent; unused choices count 0).
 _MUL_TABLE = np.array(cliffords._MUL, np.uint8)
 _INV_TABLE = np.array(cliffords._INV, np.uint8)
-_CHOICES = np.array([len(options) for options in cliffords._STEPS], np.uint8)
-_PULSE_COUNTS = np.array([[len(option[0][0]) for option in options]
-                          + [0] * (_CHOICES.max() - len(options))
-                          for options in cliffords._STEPS], np.uint8)
+_STEP_PULSE_COUNTS = np.array([len(pulses) for pulses in cliffords._STEP_PULSES], np.uint8)
+_CHOICES = np.array(cliffords._CHOICE_COUNTS, np.uint8)
+_PULSE_COUNTS = np.array([[_STEP_PULSE_COUNTS[first + 4 * choice] if choice < count else 0
+                           for choice in range(_CHOICES.max())]
+                          for first, count in zip(cliffords._FIRST_STEP, _CHOICES)], np.uint8)
 SECONDS_PER_ITERATION = 30.0  # stability-run time stamps: one iteration every 30 s
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -164,7 +172,8 @@ def _read_ground(state, visibility: float, shots, rng) -> float:
 
 
 class _PTMBackend:
-    """Composes one cached PTM per pulse (subclasses supply `pulse_ptm`)."""
+    """Composes one cached PTM per Clifford step (subclasses supply `pulse_ptm`
+    from parameters fixed at construction)."""
 
     supports_survival_shortcut = False
 
@@ -173,16 +182,22 @@ class _PTMBackend:
             raise ValueError("visibility must be in (0, 1]")
         self.visibility = visibility
 
-    def channel(self, pulses) -> np.ndarray:
-        """4x4 PTM of `pulses` (amount, axis angle), applied first to last."""
-        distinct = {}  # pulse -> row of `table`; a compiled string has at most 12
-        rows = [distinct.setdefault(pulse, len(distinct)) for pulse in pulses]
-        table = np.array([self.pulse_ptm(*pulse) for pulse in distinct]).reshape(-1, 4, 4)
-        return ptm_product(table[rows])
+    @functools.cached_property
+    def step_table(self) -> np.ndarray:
+        """Read-only PTM of every Clifford step, indexed by step id: the
+        ptm_product of its pulses' `pulse_ptm`, the identity if it has none."""
+        table = np.array([ptm_product([self.pulse_ptm(*pulse) for pulse in pulses])
+                          for pulses in cliffords._STEP_PULSES])
+        table.setflags(write=False)
+        return table
 
-    def run(self, pulses, shots: Optional[int], rng: np.random.Generator) -> float:
-        """P_g estimate after `pulses` (amount, axis angle), starting in |g>."""
-        return _read_ground(self.channel(pulses) @ _GROUND, self.visibility, shots, rng)
+    def channel(self, steps) -> np.ndarray:
+        """4x4 PTM of compiled Clifford step ids, applied first to last."""
+        return ptm_product(self.step_table[np.asarray(steps, np.intp)])  # a tuple too
+
+    def run(self, steps, shots: Optional[int], rng: np.random.Generator) -> float:
+        """P_g estimate after compiled Clifford step ids, starting in |g>."""
+        return _read_ground(self.channel(steps) @ _GROUND, self.visibility, shots, rng)
 
 
 class ChannelBackend(_PTMBackend):
@@ -190,7 +205,12 @@ class ChannelBackend(_PTMBackend):
 
     def __init__(self, noise: GateNoiseModel = GateNoiseModel(), visibility: float = 1.0):
         super().__init__(visibility)
-        self.noise = noise
+        self._noise = noise
+
+    @property
+    def noise(self) -> GateNoiseModel:
+        """The per-pulse noise, read-only: `step_table` is built from it once."""
+        return self._noise
 
     @property
     def supports_survival_shortcut(self) -> bool:
@@ -244,10 +264,10 @@ def draw_sequence(m: int, rng: np.random.Generator):
     return tuple(map(_GATES.__getitem__, indices)), _GATES[recovery]
 
 
-def compile_sequence(gates, recovery, rng: np.random.Generator) -> PhysicalPulseList:
-    """Decompose every element (random choices) and compile the whole string."""
-    pulses, quarters = _compile_cliffords([g.index for g in gates] + [recovery.index], rng)
-    return PhysicalPulseList(pulses, QUARTER_TURNS[quarters])
+def compile_sequence(gates, recovery, rng: np.random.Generator):
+    """Decompose every element (random choices) and compile the whole string:
+    its Clifford step ids and outgoing frame in quarter turns."""
+    return _compile_cliffords([g.index for g in gates] + [recovery.index], rng)
 
 
 _RNG_STREAMS = {"rb": 0, "pb": 1, "stability": 2}
@@ -259,29 +279,45 @@ def _sequence_rng(seed: int, kind: str, length_index: int, sequence_index: int):
     )
 
 
-def _measure(backend, pulses, shots, rng, where: str) -> float:
-    """P_g of one compiled string: the survival shortcut when the backend
-    offers it, else backend.run; failures name `where`."""
+def _measure(backend, steps, shots, rng, where: str) -> float:
+    """P_g of one compiled string of step ids: the survival shortcut when the
+    backend offers it, else backend.run; failures name `where`."""
     try:
         if backend.supports_survival_shortcut:
-            return read_out(backend.survival_probability(len(pulses)), backend.visibility,
-                            shots, rng)
-        return backend.run(pulses, shots, rng)
+            count = int(_STEP_PULSE_COUNTS[steps].sum())
+            return read_out(backend.survival_probability(count), backend.visibility, shots, rng)
+        return backend.run(steps, shots, rng)
     except Exception as exc:
         raise wrap_error(exc, f"backend failed at {where}: {exc}") from exc
 
 
+def _log_run(name: str, config: RBConfig, strings, start: float) -> None:
+    """One DEBUG record of a run, if `strings`, the step strings it handed the
+    backend to multiply, were kept: sequences, step maps multiplied, distinct
+    steps among them, and wall time."""
+    if strings is not None:
+        _log.debug("%s: %d sequences, %d step maps multiplied, %d distinct steps, %.4g s wall",
+                   name, len(config.lengths) * config.sequences_per_length,
+                   sum(map(len, strings)), len(set().union(*strings)),
+                   time.perf_counter() - start)
+
+
 def run_rb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0) -> DecayRecord:
     """Standard RB: a DecayRecord of P_g per length and sequence."""
+    start = time.perf_counter()
+    multiplied = [] if _log.isEnabledFor(logging.DEBUG) else None  # for _log_run only
     values = [[] for _ in config.lengths]
     stamps = [[] for _ in config.lengths]
     for i_m, m in enumerate(config.lengths):
         for j in range(config.sequences_per_length):
             rng = _sequence_rng(config.seed, "rb", i_m, j)
-            compiled = compile_sequence(*draw_sequence(m, rng), rng)
-            values[i_m].append(float(_measure(backend, compiled.pulses, config.shots, rng,
+            steps = compile_sequence(*draw_sequence(m, rng), rng)[0]
+            values[i_m].append(float(_measure(backend, steps, config.shots, rng,
                                               f"length {m}, sequence {j}")))
             stamps[i_m].append((i_m * config.sequences_per_length + j) * seconds_per_sequence)
+            if multiplied is not None and not backend.supports_survival_shortcut:
+                multiplied.append(steps)
+    _log_run("run_rb", config, multiplied, start)
     return DecayRecord(config.lengths, values, stamps)
 
 
@@ -307,27 +343,30 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
     """
     if bias_corrected and config.shots is not None and config.shots < 2:
         raise ValueError("bias_corrected needs at least 2 shots")
+    start = time.perf_counter()
+    multiplied = [] if _log.isEnabledFor(logging.DEBUG) else None  # for _log_run only
     purity_values = [[] for _ in config.lengths]
     survival_values = [[] for _ in config.lengths]
     stamps = [[] for _ in config.lengths]
     for i_m, m in enumerate(config.lengths):
         for j in range(config.sequences_per_length):
             rng = _sequence_rng(config.seed, "pb", i_m, j)
-            base = compile_sequence(*draw_sequence(m, rng), rng)
-            quarters = QUARTER_TURNS.index(base.frame_phase)
+            base, quarters = compile_sequence(*draw_sequence(m, rng), rng)
             state = None  # Pauli vector after the base string, made at the z readout
             expectations = {}
             for label, analysis in _ANALYSIS_STEPS:
                 tail = _compile_cliffords(analysis, rng, quarters)[0]
                 try:
                     if state is None:
-                        state = backend.channel(base.pulses) @ _GROUND
+                        state = backend.channel(base) @ _GROUND
                     p_g = _read_ground(backend.channel(tail) @ state if tail else state,
                                        backend.visibility, config.shots, rng)
                 except Exception as exc:
                     raise wrap_error(exc, f"backend failed at length {m}, sequence {j} "
                                           f"({label}): {exc}") from exc
                 expectations[label] = 2.0 * p_g - 1.0
+                if multiplied is not None:
+                    multiplied += [base, tail] if label == "z" else [tail]
             purity = sum(value**2 for value in expectations.values())
             if bias_corrected and config.shots is not None:
                 for value in expectations.values():
@@ -336,6 +375,7 @@ def run_pb(backend, config: RBConfig, *, seconds_per_sequence: float = 0.0,
             purity_values[i_m].append(float(purity))
             survival_values[i_m].append(0.5 * (1.0 + expectations["z"]))
             stamps[i_m].append((i_m * config.sequences_per_length + j) * seconds_per_sequence)
+    _log_run("run_pb", config, multiplied, start)
     return PBResult(
         purity=DecayRecord(config.lengths, purity_values, stamps),
         survival=DecayRecord(config.lengths, survival_values, stamps),
@@ -376,10 +416,19 @@ def incoherent_error_from_u(u: float) -> float:
     return 0.5 * (1.0 - math.sqrt(u))
 
 
+# fit_nlls needs one point more than exp_decay has parameters
+_MIN_LENGTHS = len(MODELS["exp_decay"][3]) + 1
+
+
+def _check_lengths(lengths, where: str) -> None:
+    if len(lengths) < _MIN_LENGTHS:
+        raise ValueError(f"{where} needs at least {_MIN_LENGTHS} distinct lengths to fit "
+                         f"A p^m + B, got {len(lengths)}")
+
+
 def fit_rb(record: DecayRecord) -> RBFit:
     """Least-squares fit of mean P_g(m) to A p^m + B."""
-    if len(record.lengths) < 3:
-        raise ValueError("need at least 3 distinct lengths to fit")
+    _check_lengths(record.lengths, "fit_rb")
     m = np.asarray(record.lengths, dtype=float)
     fit = fit_nlls("exp_decay", m, record.means())
     stderr = dict(fit.stderr) if fit.stderr else {}
@@ -394,8 +443,7 @@ def fit_rb(record: DecayRecord) -> RBFit:
 
 def fit_pb(record: DecayRecord) -> PBFit:
     """Least-squares fit of mean purity(m) to A' u^(m-1) + B'."""
-    if len(record.lengths) < 3:
-        raise ValueError("need at least 3 distinct lengths to fit")
+    _check_lengths(record.lengths, "fit_pb")
     m = np.asarray(record.lengths, dtype=float) - 1.0
     fit = fit_nlls("exp_decay", m, record.means())
     u = fit["p"]
@@ -444,8 +492,8 @@ def _stability_survival(backend, config: RBConfig, iterations: int) -> np.ndarra
         for j in range(iterations):
             for i_m, m in enumerate(config.lengths):
                 rng = _sequence_rng(config.seed, "stability", j, i_m)
-                compiled = compile_sequence(*draw_sequence(m, rng), rng)
-                survival[j, i_m] = _measure(backend, compiled.pulses, config.shots, rng,
+                steps = compile_sequence(*draw_sequence(m, rng), rng)[0]
+                survival[j, i_m] = _measure(backend, steps, config.shots, rng,
                                             f"iteration {j}, length {m}")
         return survival
     for i_m, m in enumerate(config.lengths):
@@ -489,6 +537,7 @@ def temporal_stability(backend, config: RBConfig, iterations: int,
     (typically a few shot-noisy edge windows) keep their F, and one warning
     names them.
     """
+    _check_lengths(config.lengths, "temporal_stability")
     if not (is_count(window) and window >= 1 and window % 2 == 1):
         raise ValueError(f"window must be an odd integer of at least 1, got {window!r}")
     if not (is_count(iterations) and iterations >= window):

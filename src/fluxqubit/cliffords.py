@@ -11,11 +11,14 @@ checked at import by matching batched products against it: all 576 pairwise
 products, and every primitive string of length <= 3, keeping the shortest
 strings per element.  `decompose` picks uniformly among those.
 
-Virtual-Z frames are integer quarter turns, so `_STEPS`, built at import by
-the one compile rule `_compile_kinds`, holds the pulses and outgoing frame of
-every (element, decomposition, incoming frame).  `compile_cliffords` walks a
-string through it and draws all its choices in one `rng.integers(highs)`
-call, which leaves the generator as one `decompose` per element does.
+Virtual-Z frames are integer quarter turns, so a compiled element is one of
+148 steps: an (element, decomposition, incoming frame), with at most 2
+pulses and an outgoing frame.  Flat tables built at import by the one compile
+rule `_compile_kinds` hold each step's pulses and outgoing frame, indexed by
+step id.  `compile_cliffords` turns a string into one step id per element
+and draws all its choices in one `rng.integers(highs)` call, which leaves
+the generator as one `decompose` per element does; `decode_steps` gives the
+pulses of step ids.
 
 Convention: the two pi rotations about axes tilted halfway between the
 equator and the poles, R_(1,0,+/-1)(pi), are pinned to their two-pulse
@@ -275,17 +278,25 @@ def compile_virtual_z(seq: PrimitiveSequence) -> PhysicalPulseList:
     return PhysicalPulseList(pulses=pulses, frame_phase=QUARTER_TURNS[quarters])
 
 
-# _STEPS[element][choice][incoming frame] = (pulses, outgoing frame)
-_STEPS = tuple(
-    tuple(tuple(_compile_kinds(kinds, q) for q in range(4)) for kinds in options)
-    for options in DECOMPOSITIONS
-)
+def _build_steps(decompositions):
+    """Flat step tables.  A step is one (element, decomposition choice,
+    incoming frame); step id first[i] + 4 * choice + frame is element i by
+    decomposition `choice` entered at `frame` quarter turns.  Returns each
+    step's pulses, each step's outgoing frame, and each element's first id."""
+    pulses, frames = zip(*(_compile_kinds(kinds, q)
+                           for options in decompositions for kinds in options for q in range(4)))
+    first = itertools.accumulate((4 * len(options) for options in decompositions[:-1]), initial=0)
+    return pulses, frames, tuple(first)
+
+
+_STEP_PULSES, _STEP_FRAME, _FIRST_STEP = _build_steps(DECOMPOSITIONS)
+_CHOICE_COUNTS = tuple(len(options) for options in DECOMPOSITIONS)
 
 
 def compile_cliffords(indices, rng: np.random.Generator, quarters: int = 0):
-    """(pulses, outgoing frame) of element `indices` entered at a frame of
+    """(step ids, outgoing frame) of elements `indices` entered at a frame of
     `quarters` quarter turns; `decompose` then `compile_virtual_z` per element
-    give the same result and generator state."""
+    give the pulses of `decode_steps` and the same generator state."""
     for i in indices:
         if not (is_count(i) and 0 <= i < 24):
             raise ValueError(f"Clifford index must be a whole number in 0..23, got {i!r}")
@@ -296,14 +307,20 @@ def compile_cliffords(indices, rng: np.random.Generator, quarters: int = 0):
 
 def _compile_cliffords(indices, rng: np.random.Generator, quarters: int = 0):
     """compile_cliffords unchecked, for indices read from group elements."""
-    highs = [len(_STEPS[i]) for i in indices if len(_STEPS[i]) > 1]
+    counts, first, frames = _CHOICE_COUNTS, _FIRST_STEP, _STEP_FRAME
+    highs = [counts[i] for i in indices if counts[i] > 1]
     choices = iter(rng.integers(highs).tolist() if highs else ())
-    pulses = []
+    steps = []
     for i in indices:
-        options = _STEPS[i]
-        step, quarters = options[next(choices) if len(options) > 1 else 0][quarters]
-        pulses.extend(step)
-    return tuple(pulses), quarters
+        step = first[i] + quarters + (4 * next(choices) if counts[i] > 1 else 0)
+        steps.append(step)
+        quarters = frames[step]
+    return steps, quarters
+
+
+def decode_steps(steps) -> tuple:
+    """The (rotation amount, axis angle) pulses of compiled step ids, in order."""
+    return tuple(itertools.chain.from_iterable(_STEP_PULSES[step] for step in steps))
 
 
 def physical_unitary(ppl: PhysicalPulseList) -> np.ndarray:

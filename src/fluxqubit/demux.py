@@ -284,8 +284,10 @@ def compile_gate(gate, cal: Calibration, *, resolution: float = 0.002,
     Pulse flat-top durations are amount / pi times the calibrated pi time;
     gaps are chosen by the first-available-delay rule so every pulse lands
     on its target axis and the window's net frame phase is zero.  All times
-    are quantized to `resolution`.
+    are quantized to `resolution`, which must be positive and finite.
     """
+    if not (0.0 < resolution < math.inf):
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     plan, z_angle = _pulse_plan(gate)
     pulses = []
     cursor = 0.0

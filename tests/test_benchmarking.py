@@ -18,7 +18,7 @@ from fluxqubit import analysis as an
 from fluxqubit import benchmarking as rb
 from fluxqubit import cliffords as cl
 from fluxqubit import pulsesim as ps
-from fluxqubit.qcore import bloch_rotation, phase_aligned_distance
+from fluxqubit.qcore import bloch_rotation, phase_aligned_distance, ptm_product
 
 
 def analytic_depolarizing_p(lam: float) -> float:
@@ -178,6 +178,29 @@ def test_fit_rb_needs_three_lengths():
         rb.fit_rb(record)
 
 
+class UnsampledBackend(rb.ChannelBackend):
+    """Fails the test if any string is measured."""
+
+    def survival_probability(self, pulse_count):
+        raise AssertionError("a string was measured before the length check")
+
+
+@pytest.mark.parametrize("entry", ["fit_rb", "fit_pb", "temporal_stability"])
+def test_each_fitting_entry_point_refuses_three_lengths_before_any_work(entry):
+    # exp_decay has 3 parameters and fit_nlls needs one point more
+    record = synthetic_record([1, 10, 100], 0.5, 0.99, 0.5)
+    config = rb.RBConfig(lengths=(1, 10, 100), sequences_per_length=1)
+    call = {"fit_rb": lambda: rb.fit_rb(record),
+            "fit_pb": lambda: rb.fit_pb(record),
+            "temporal_stability": lambda: rb.temporal_stability(UnsampledBackend(), config,
+                                                                iterations=3, window=3)}[entry]
+    with pytest.raises(ValueError, match=f"^{entry} needs at least 4 distinct lengths to fit "
+                                         r"A p\^m \+ B, got 3$"):
+        call()
+    four = synthetic_record([1, 10, 100, 300], 0.5, 0.99, 0.5)
+    assert abs(rb.fit_rb(four).p - 0.99) < 1e-9 and abs(rb.fit_pb(four).u - 0.99) < 1e-9
+
+
 def test_noiseless_pb_purity_is_unity():
     backend = rb.ChannelBackend(rb.GateNoiseModel())
     config = rb.RBConfig(lengths=(1, 4, 16), sequences_per_length=4, seed=9)
@@ -287,7 +310,7 @@ class FailingBackend(rb.ChannelBackend):
 
     supports_survival_shortcut = False
 
-    def channel(self, pulses):
+    def channel(self, steps):
         self.raised = ArithmeticError("broken")
         raise self.raised
 
@@ -310,7 +333,7 @@ class FailingShortcut(rb.ChannelBackend):
 ], ids=["rb-backend", "rb-shortcut", "pb", "stability-loop", "stability-table"])
 def test_every_benchmarking_path_keeps_the_error_and_names_where(path, backend, where):
     backend = backend()
-    config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=1, seed=1)
+    config = rb.RBConfig(lengths=(1, 2, 3, 4), sequences_per_length=1, seed=1)
     run = {"rb": lambda: rb.run_rb(backend, config),
            "pb": lambda: rb.run_pb(backend, config),
            "stability": lambda: rb.temporal_stability(backend, config, iterations=3, window=3)}
@@ -326,7 +349,7 @@ def test_pb_names_a_missing_channel_and_where():
         supports_survival_shortcut = False
         visibility = 1.0
 
-        def run(self, pulses, shots, rng):
+        def run(self, steps, shots, rng):
             return 1.0
 
     config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=1, seed=1)
@@ -404,6 +427,26 @@ def test_pulse_ptms_are_cached_read_only_and_few():
     ptm = backend.pulse_ptm(np.pi / 2, 0.0)
     assert ptm is backend.pulse_ptm(np.pi / 2, 0.0)
     assert not ptm.flags.writeable
+    # one read-only PTM per Clifford step, built once per backend
+    assert backend.step_table is backend.step_table
+    assert backend.step_table.shape == (148, 4, 4) and not backend.step_table.flags.writeable
+
+
+def test_each_backend_multiplies_its_own_noise_which_is_read_only():
+    steps = cl.compile_cliffords([12, 14, 12], np.random.default_rng(3))[0]
+    backends = [rb.ChannelBackend(), rb.ChannelBackend(rb.GateNoiseModel(overrotation=0.1)),
+                rb.PulseBackend(t1_us=20.0, t2_us=20.0), rb.PulseBackend(t1_us=5.0, t2_us=5.0)]
+    channels = [backend.channel(steps) for backend in backends]
+    for backend, channel in zip(backends, channels):
+        expected = ptm_product([backend.pulse_ptm(*pulse) for pulse in cl.decode_steps(steps)])
+        assert np.max(np.abs(channel - expected)) <= 1e-14
+        assert np.array_equal(backend.channel(tuple(steps)), channel)  # not a 2-D index
+    for a, b in ((0, 1), (2, 3)):
+        assert np.max(np.abs(channels[a] - channels[b])) > 1e-3
+    with pytest.raises(AttributeError):
+        backends[0].noise = rb.GateNoiseModel(overrotation=0.1)
+    assert backends[0].noise == rb.GateNoiseModel()
+    assert np.array_equal(backends[0].channel(steps), channels[0])
 
 
 # -- the loops the PTM backends replaced, kept here as the reference ---------
@@ -460,27 +503,37 @@ times_us = st.one_of(st.just(math.inf), st.floats(0.2, 100.0))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(pulses=pulse_lists, depolarizing=probabilities, damping=probabilities,
+@given(pulses=pulse_lists, indices=st.lists(st.integers(0, 23), max_size=80),
+       quarters=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       depolarizing=probabilities, damping=probabilities,
        overrotation=coherent, axis_error=coherent, visibility=visibilities,
        t1=times_us, t2_ratio=st.floats(0.05, 2.0),
        tau=st.floats(1.0, 200.0))
-def test_ptm_backends_match_the_step_loops(pulses, depolarizing, damping, overrotation,
-                                           axis_error, visibility, t1, t2_ratio, tau):
+def test_ptm_backends_match_the_step_loops(pulses, indices, quarters, seed, depolarizing,
+                                           damping, overrotation, axis_error, visibility, t1,
+                                           t2_ratio, tau):
     noise = rb.GateNoiseModel(depolarizing, damping, overrotation, axis_error)
-    channel = rb.ChannelBackend(noise, visibility)
-    assert abs(channel.run(pulses, None, None)
-               - bloch_loop_channel_run(noise, visibility, pulses)) <= 1e-12
     t2 = t1 * t2_ratio
-    pulse = rb.PulseBackend(t1, t2, tau, visibility)
-    assert abs(pulse.run(pulses, None, None)
-               - density_loop_pulse_run(t1, t2, tau, visibility, pulses)) <= 1e-12
+    steps = cl.compile_cliffords(indices, np.random.default_rng(seed), quarters)[0]
+    for backend, loop in (
+            (rb.ChannelBackend(noise, visibility),
+             lambda pulses: bloch_loop_channel_run(noise, visibility, pulses)),
+            (rb.PulseBackend(t1, t2, tau, visibility),
+             lambda pulses: density_loop_pulse_run(t1, t2, tau, visibility, pulses))):
+        # any pulse through `pulse_ptm`, and compiled step ids through `run`
+        ptm = ptm_product([backend.pulse_ptm(*pulse) for pulse in pulses])
+        assert abs(rb._read_ground(ptm @ rb._GROUND, visibility, None, None)
+                   - loop(pulses)) <= 1e-12
+        assert abs(backend.run(steps, None, None) - loop(cl.decode_steps(steps))) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(m=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
 def test_compiled_sequence_plus_recovery_is_the_identity(m, seed):
     rng = np.random.default_rng(seed)
-    compiled = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)
+    steps, quarters = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)
+    assert len(steps) == m + 1
+    compiled = cl.PhysicalPulseList(cl.decode_steps(steps), cl.QUARTER_TURNS[quarters])
     assert phase_aligned_distance(cl.physical_unitary(compiled), np.eye(2)) < 1e-8
 
 
@@ -510,11 +563,10 @@ def per_readout_pb(backend, config):
     for i_m, m in enumerate(config.lengths):
         for j in range(config.sequences_per_length):
             rng = rb._sequence_rng(config.seed, "pb", i_m, j)
-            base = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)
-            quarters = cl.QUARTER_TURNS.index(base.frame_phase)
+            base, quarters = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)
             expectations = []
             for _, analysis in rb._ANALYSIS_STEPS:
-                strings.append(base.pulses + cl.compile_cliffords(analysis, rng, quarters)[0])
+                strings.append(base + cl.compile_cliffords(analysis, rng, quarters)[0])
                 expectations.append(2.0 * backend.run(strings[-1], config.shots, rng) - 1.0)
             purity[i_m].append(float(sum(value**2 for value in expectations)))
             survival[i_m].append(0.5 * (1.0 + expectations[0]))
@@ -528,9 +580,9 @@ def shared_readouts(backend, config):
     composed, values = [], []
     channel, read_ground = backend.channel, rb._read_ground
 
-    def recording_channel(pulses):
-        composed.append(tuple(pulses))
-        return channel(pulses)
+    def recording_channel(steps):
+        composed.append(list(steps))
+        return channel(steps)
 
     def recording_read(state, *args):
         values.append(read_ground(state, *args))
@@ -562,8 +614,9 @@ def test_pb_readouts_are_the_base_string_then_each_analysis_rotation():
                          cl.decompose(cl.clifford(12), rng).gates):
                 expected.append(cl.compile_virtual_z(cl.PrimitiveSequence(base + tail, -1)).pulses)
     noise = rb.GateNoiseModel(2e-3, 1e-3, overrotation=0.02, axis_error=0.01)
-    assert shared_readouts(rb.ChannelBackend(noise), config)[0] == expected
-    assert per_readout_pb(rb.ChannelBackend(noise), config)[0] == expected
+    for strings in (shared_readouts(rb.ChannelBackend(noise), config)[0],
+                    per_readout_pb(rb.ChannelBackend(noise), config)[0]):
+        assert [cl.decode_steps(steps) for steps in strings] == expected
     # with shots, each readout's binomial follows its tail's draws in both
     config = dataclasses.replace(config, shots=200)
     shared = rb.run_pb(rb.ChannelBackend(noise), config)
@@ -579,6 +632,16 @@ pb_backends = st.one_of(
     st.builds(lambda t1, ratio, tau, v: rb.PulseBackend(t1, t1 * ratio, tau, v),
               times_us, st.floats(0.05, 2.0), st.floats(1.0, 200.0), visibilities),
 )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(backend=pb_backends, indices=st.lists(st.integers(0, 23), max_size=200),
+       quarters=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_step_table_channel_is_the_product_of_its_decoded_pulses(backend, indices, quarters,
+                                                                 seed):
+    steps = cl.compile_cliffords(indices, np.random.default_rng(seed), quarters)[0]
+    expected = ptm_product([backend.pulse_ptm(*pulse) for pulse in cl.decode_steps(steps)])
+    assert np.max(np.abs(backend.channel(steps) - expected)) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -598,17 +661,55 @@ def test_shared_pb_failure_keeps_its_type_and_names_where(failing_call, where):
     class FailingChannel(rb.ChannelBackend):
         calls = 0
 
-        def channel(self, pulses):  # per sequence: the base, then the x and y tails
+        def channel(self, steps):  # per sequence: the base, then the x and y tails
             self.calls += 1
             if self.calls == failing_call:
                 raise ArithmeticError("broken")
-            return super().channel(pulses)
+            return super().channel(steps)
 
     config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=2, seed=1)
     with pytest.raises(ArithmeticError, match=re.escape(f"{where}: broken")) as info:
         rb.run_pb(FailingChannel(), config)
     assert type(info.value) is ArithmeticError
     assert type(info.value.__cause__) is ArithmeticError and str(info.value.__cause__) == "broken"
+
+
+RUN_RECORD = re.compile(r"(run_rb|run_pb): (\d+) sequences, (\d+) step maps multiplied, "
+                        r"(\d+) distinct steps, (\S+) s wall$")
+
+
+@pytest.mark.parametrize("noise", [rb.GateNoiseModel(overrotation=0.02),
+                                   rb.GateNoiseModel(depolarizing_prob=1e-3)],
+                         ids=["backend", "shortcut"])
+def test_rb_and_pb_each_log_one_debug_record(caplog, noise):
+    backend = rb.ChannelBackend(noise)
+    config = rb.RBConfig(lengths=(1, 5, 20), sequences_per_length=3, seed=5)
+    multiplied = {"run_rb": [], "run_pb": []}
+    channel, current = backend.channel, []
+
+    def recording_channel(steps):  # run goes through channel too
+        multiplied[current[-1]].append(list(steps))
+        return channel(steps)
+
+    backend.channel = recording_channel
+    with caplog.at_level("DEBUG", logger="fluxqubit.benchmarking"):
+        for name, run in (("run_rb", rb.run_rb), ("run_pb", rb.run_pb)):
+            current.append(name)
+            run(backend, config)
+    records = [r.getMessage() for r in caplog.records if r.name == "fluxqubit.benchmarking"]
+    assert len(records) == 2
+    for message, name in zip(records, ("run_rb", "run_pb")):
+        fields = RUN_RECORD.match(message)
+        assert fields is not None, message
+        strings = multiplied[name]
+        assert fields.groups()[:4] == (name, "9", str(sum(map(len, strings))),
+                                       str(len(set().union(*strings))))
+        assert float(fields.group(5)) >= 0.0
+    assert bool(multiplied["run_rb"]) is not backend.supports_survival_shortcut
+    caplog.clear()
+    with caplog.at_level("INFO", logger="fluxqubit.benchmarking"):
+        rb.run_rb(backend, config)
+    assert not caplog.records
 
 
 def test_timestamps_count_sequences_in_run_order():
@@ -625,8 +726,8 @@ def loop_survival(backend, config, iterations):
     for j in range(iterations):
         for i_m, m in enumerate(config.lengths):
             rng = rb._sequence_rng(config.seed, "stability", j, i_m)
-            compiled = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)
-            survival[j, i_m] = rb._measure(backend, compiled.pulses, config.shots, rng, "")
+            steps = rb.compile_sequence(*rb.draw_sequence(m, rng), rng)[0]
+            survival[j, i_m] = rb._measure(backend, steps, config.shots, rng, "")
     return survival
 
 
@@ -729,6 +830,13 @@ def test_table_stability_survival_is_the_string_loop_bit_for_bit(
     assert table.tobytes() == loop_survival(backend, config, iterations).tobytes()
 
 
+def test_stability_tables_are_the_decomposition_counts():
+    assert rb._CHOICES.tolist() == [len(options) for options in cl.DECOMPOSITIONS]
+    assert rb._PULSE_COUNTS.tolist() == [
+        [cl.microwave_pulse_count(kinds) for kinds in options] + [0] * (4 - len(options))
+        for options in cl.DECOMPOSITIONS]
+
+
 def test_shortcut_stability_takes_the_table_path(monkeypatch):
     def no_strings(*args):
         raise AssertionError("a string was drawn or compiled one by one")
@@ -756,7 +864,7 @@ def test_shortcut_failure_on_the_table_path_names_where():
                 raise ArithmeticError("broken")
             return super().survival_probability(pulse_count)
 
-    config = rb.RBConfig(lengths=(1, 2, 3), sequences_per_length=1, seed=1)
+    config = rb.RBConfig(lengths=(1, 2, 3, 4), sequences_per_length=1, seed=1)
     with pytest.raises(ArithmeticError, match="iteration 1, length 2: broken") as info:
         rb.temporal_stability(FailingShortcut(), config, iterations=3, window=3)
     assert type(info.value) is ArithmeticError

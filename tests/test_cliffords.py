@@ -204,12 +204,13 @@ def test_compile_frames_are_exact():
        seed=st.integers(0, 2**32 - 1))
 def test_compile_cliffords_matches_decompose_then_compile(indices, quarters, seed):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    pulses, outgoing = cl.compile_cliffords(indices, rng, quarters)
+    steps, outgoing = cl.compile_cliffords(indices, rng, quarters)
     kinds = ("Z90",) * quarters  # enters the string at a frame of `quarters`
     for i in indices:
         kinds += cl.decompose(GATES[i], reference_rng).gates
     expected = cl.compile_virtual_z(cl.PrimitiveSequence(kinds, -1))
-    assert pulses == expected.pulses
+    assert len(steps) == len(indices)
+    assert cl.decode_steps(steps) == expected.pulses
     assert outgoing in range(4) and cl.QUARTER_TURNS[outgoing] == expected.frame_phase
     # one array-`high` draw leaves the generator where per-element draws do
     assert rng.bit_generator.state == reference_rng.bit_generator.state
@@ -288,7 +289,29 @@ def test_batched_tables_equal_the_scalar_reference():
     assert cl._MUL == mul
     assert cl._INV == inv
     assert cl.DECOMPOSITIONS == decompositions
-    assert cl._STEPS == steps
+    # step id first[i] + 4 * choice + frame holds steps[i][choice][frame]
+    ids = [cl._FIRST_STEP[i] + 4 * choice + q
+           for i, options in enumerate(steps) for choice in range(len(options)) for q in range(4)]
+    assert ids == list(range(148))
+    assert len(cl._STEP_PULSES) == len(cl._STEP_FRAME) == 148
+    assert [(cl._STEP_PULSES[step], cl._STEP_FRAME[step]) for step in ids] == [
+        step for options in steps for frames in options for step in frames]
+    assert cl._CHOICE_COUNTS == tuple(len(options) for options in decompositions)
+
+
+def test_every_step_reproduces_its_element_from_its_incoming_frame():
+    # a step entered at q quarter turns realizes Z(outgoing) pulses = U_i Z90^q
+    steps = [(i, q, cl._FIRST_STEP[i] + 4 * choice + q) for i in range(24)
+             for choice in range(cl._CHOICE_COUNTS[i]) for q in range(4)]
+    assert sorted(step for _, _, step in steps) == list(range(148))
+    for i, q, step in steps:
+        pulses = cl.decode_steps([step])
+        assert len(pulses) <= 2
+        realized = cl.physical_unitary(
+            cl.PhysicalPulseList(pulses, cl.QUARTER_TURNS[cl._STEP_FRAME[step]]))
+        target = GATES[i].unitary @ cl.sequence_product(("Z90",) * q)
+        assert qc.phase_aligned_distance(realized, target) < 1e-8, (i, q, step)
+    assert sum(not cl.decode_steps([step]) for _, _, step in steps) == 16
 
 
 def test_duplicated_definition_row_raises(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,22 @@ def test_compile_pulse_counts_and_durations():
     assert len(dx.compile_gate(("Z", 0.7), cal).pulses) == 0
     with pytest.raises(ValueError):
         dx.compile_gate("NOPE", cal)
+
+
+@pytest.mark.parametrize("resolution", [0.0, math.nan, math.inf, -0.002])
+def test_every_compile_path_refuses_a_resolution_that_is_not_positive_and_finite(resolution):
+    p = demux_device()
+    cal = dx.nominal_calibration(p, DRIVE)
+    message = f"resolution must be positive and finite, got {resolution!r}"
+    for call in (lambda: dx.compile_gate("X90", cal, resolution=resolution),
+                 lambda: dx.compiled_unitary_error(p, "X90", cal, drive_amplitude=DRIVE,
+                                                   resolution=resolution),
+                 lambda: dx.make_pulse_executor(p, cal, "X90", drive_amplitude=DRIVE,
+                                                resolution=resolution),
+                 lambda: dx.qpt_pipeline(p, cal, ("X90",), drive_amplitude=DRIVE,
+                                         resolution=resolution)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 def test_compiled_sequences_do_not_overlap():
