@@ -1,8 +1,7 @@
-"""Bundled data: device configs and reference process matrices.
+"""Bundled data: the device configs and the per-gate QPT fidelity targets.
 
 Device configuration uses an INI-style key-value schema (section
-`[device]`); the reference process matrices are trace-2 Choi matrices
-stored as text (see qcore.format_matrix).
+`[device]`).
 """
 
 from __future__ import annotations
@@ -11,15 +10,11 @@ import configparser
 import math
 from importlib import resources
 
-import numpy as np
-
 from .pulsesim import DeviceParams, TlsDip
-from .qcore import parse_matrix
 
-REFERENCE_GATES = ("X90", "Y-90", "T", "S", "H")
-
-# Benchmark average-gate-fidelity values reproduced by the bundled
-# reference process matrices (see tools/make_reference_channels.py).
+# Per-gate QPT average gate fidelities (mean 0.932, the abstract's "around
+# 93%"): the target that the imperfection model is to be fitted to. Their
+# provenance cannot be checked offline, so they are a target, not data.
 REFERENCE_FIDELITIES = {
     "X90": 0.9565,
     "Y-90": 0.9623,
@@ -28,31 +23,8 @@ REFERENCE_FIDELITIES = {
     "H": 0.9136,
 }
 
-_REFERENCE_FILES = {
-    "X90": "choi_x90.txt",
-    "Y-90": "choi_ym90.txt",
-    "T": "choi_t.txt",
-    "S": "choi_s.txt",
-    "H": "choi_h.txt",
-}
-
 BUNDLED_DEVICES = ("device_swap.cfg", "device_demux.cfg")
 
-
-def _data_text(name: str) -> str:
-    return (resources.files("fluxqubit") / "data" / name).read_text(encoding="utf-8")
-
-
-def load_reference_choi(gate: str) -> np.ndarray:
-    """One of the bundled reference process matrices, by gate name."""
-    if gate not in _REFERENCE_FILES:
-        raise ValueError(f"no reference matrix for {gate!r}; known: {REFERENCE_GATES}")
-    return parse_matrix(_data_text(_REFERENCE_FILES[gate]))
-
-
-# ---------------------------------------------------------------------------
-# Device configuration
-# ---------------------------------------------------------------------------
 
 def _parse_tls_dips(text: str):
     dips = []
@@ -91,5 +63,5 @@ def load_bundled_device(name: str) -> DeviceParams:
     if name not in BUNDLED_DEVICES:
         raise ValueError(f"no bundled config {name!r}; known: {BUNDLED_DEVICES}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    parser.read_string(_data_text(name))
+    parser.read_string((resources.files("fluxqubit") / "data" / name).read_text(encoding="utf-8"))
     return device_from_config(parser)

@@ -100,8 +100,10 @@ class DeviceParams:
 
     def __post_init__(self):
         object.__setattr__(self, "tls_dips", tuple(self.tls_dips))  # hashable memo key
-        if any(isinstance(v, float) and math.isnan(v) for v in vars(self).values()):
-            raise ValueError("device parameters must not be NaN")
+        # inf is allowed only for t1 and t2, where it means no decay
+        if any(isinstance(v, float) and not (math.isfinite(v) or k in ("t1", "t2") and v > 0)
+               for k, v in vars(self).items()):
+            raise ValueError("device parameters must be finite (t1 and t2 may be inf)")
         for name in ("f_max", "i_period", "f_cw"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -173,11 +175,15 @@ class SimResult:
     """The end of a run: its duration, final P_e and final density matrix.
 
     `times` and `pe` are one-element arrays; the engine keeps no time series.
+    `trace_drift` is |Tr rho - 1| of the final state, and `dt_limit_ns` the
+    coarsest step that resolves the run's fastest rate (inf if nothing moves).
     """
 
     times: np.ndarray
     pe: np.ndarray
     final_state: np.ndarray
+    trace_drift: float
+    dt_limit_ns: float
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +239,8 @@ class Segment:
 
 def pulse_segments(delta_i: float, duration: float, rise_time: float, drive: bool):
     """Rise ramp, flat top and fall ramp of one flux pulse; empty parts are left out."""
+    if not 0.0 <= rise_time < math.inf:
+        raise ValueError(f"rise_time must be finite and non-negative, got {rise_time!r}")
     parts = ((rise_time, 0.0, delta_i), (duration, delta_i, delta_i), (rise_time, delta_i, 0.0))
     return [Segment(length, start, end, drive) for length, start, end in parts if length > 0]
 
@@ -371,12 +379,17 @@ def check_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
 
+def _dt_limit(fastest: float) -> float:
+    """The coarsest step (ns) that resolves a rate in GHz; inf for a zero rate."""
+    return DT_SAFETY_FACTOR / fastest if fastest > 0 else math.inf
+
+
 def _check_resolution(dt: float, fastest: float) -> None:
-    """Reject a step coarser than DT_SAFETY_FACTOR / fastest rate (GHz)."""
-    if fastest > 0 and dt > DT_SAFETY_FACTOR / fastest:
+    """Reject a step coarser than _dt_limit of the fastest rate (GHz)."""
+    if dt > _dt_limit(fastest):
         raise ValueError(
             f"dt = {dt} ns is too coarse: need dt <= "
-            f"{DT_SAFETY_FACTOR / fastest:.4g} ns to resolve {fastest:.4g} GHz"
+            f"{_dt_limit(fastest):.4g} ns to resolve {fastest:.4g} GHz"
         )
 
 
@@ -400,9 +413,11 @@ def run_segments(p: DeviceParams, segments, dt: float, rho0: np.ndarray,
         fastest = max(fastest, rate)
         t += seg.duration
     _check_resolution(dt, fastest)
-    _check_trace(abs(r[0] - 1.0), t)
+    drift = abs(float(r[0]) - 1.0)
+    _check_trace(drift, t)
     pe = np.clip([0.5 * (r[0] - r[3])], 0.0, 1.0)
-    return SimResult(times=np.array([t]), pe=pe, final_state=density_from_pauli_vector(r))
+    return SimResult(times=np.array([t]), pe=pe, final_state=density_from_pauli_vector(r),
+                     trace_drift=drift, dt_limit_ns=_dt_limit(fastest))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +477,7 @@ def _scan(p: DeviceParams, columns, durations, *, drive_amplitude: float, dt: fl
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("scan %d columns x %d durations: dt %.4g ns, limit %.4g ns, "
                    "worst trace drift %.3e", len(columns), durations.size, dt,
-                   DT_SAFETY_FACTOR / fastest if fastest > 0 else math.inf, np.max(drift))
+                   _dt_limit(fastest), np.max(drift))
     # each column against its shortest cell's (tightest) tolerance
     for error, head, tail in zip(drift.tolist(), segments_before, segments_after):
         _check_trace(error, sum(seg.duration for seg in head + tail) + durations.min())
@@ -475,8 +490,9 @@ def rabi_chevron(p: DeviceParams, delta_i_grid, t_grid, *, drive_amplitude: floa
                  rise_time: float = 0.0, dt: float = 0.05,
                  shots: Optional[int] = None, seed: int = 0) -> np.ndarray:
     """P_e map over flux-pulse amplitude (columns) and flat-top duration (rows)."""
-    columns = [([Segment(rise_time, 0.0, di, True)], di, True, [Segment(rise_time, di, 0.0, True)])
-               for di in np.asarray(delta_i_grid, dtype=float)]
+    delta_i_grid = np.asarray(delta_i_grid, dtype=float)
+    ramps = [pulse_segments(di, 0.0, rise_time, True) for di in delta_i_grid]  # [] if no rise
+    columns = [(r[:1], di, True, r[1:]) for di, r in zip(delta_i_grid, ramps)]
     return _scan(p, columns, t_grid, drive_amplitude=drive_amplitude, dt=dt,
                  shots=shots, seed=seed)
 

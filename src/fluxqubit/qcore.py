@@ -327,31 +327,3 @@ def ptm_product(maps) -> np.ndarray:
         out = np.concatenate((paired, out[-1:])) if len(out) % 2 else paired
     return out[0] if len(out) else np.eye(4)
 
-
-# ---------------------------------------------------------------------------
-# Matrix text serialization: one row per line, complex entries like 1.5-0.25j
-# ---------------------------------------------------------------------------
-
-def format_matrix(m: np.ndarray) -> str:
-    """Serialize a complex matrix, one row per line, entries like re+imj."""
-    m = np.asarray(m, dtype=complex)
-    lines = []
-    for row in m:
-        lines.append(" ".join(f"{z.real:+.17e}{z.imag:+.17e}j" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    """Parse the output of format_matrix; blank and comment lines are skipped."""
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append([complex(tok) for tok in line.split()])
-    if not rows:
-        raise ValueError("no matrix rows found")
-    m = np.array(rows, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m

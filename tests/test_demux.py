@@ -437,6 +437,27 @@ def test_every_entry_point_rejects_a_step_that_is_not_positive_and_finite(entry,
         _run_with_dt(entry, dt)
 
 
+def _scan_with_rise_time(entry, rise_time):
+    p = df.load_bundled_device("device_demux.cfg")
+    cal = dx.nominal_calibration(p, DRIVE)
+    if entry == "rabi_chevron":
+        ps.rabi_chevron(p, [cal.delta_i_res, 0.0], [0.0, 5.0], drive_amplitude=DRIVE,
+                        rise_time=rise_time)
+    elif entry == "ramsey_axis_scan":
+        ps.ramsey_axis_scan(p, [0.0, 1.0], [0.0, 5.0], delta_i_res=cal.delta_i_res,
+                            t_half=cal.t_pi / 2, drive_amplitude=DRIVE, rise_time=rise_time)
+    else:
+        dx.calibrate(p, drive_amplitude=DRIVE, rise_time=rise_time)
+
+
+@pytest.mark.parametrize("rise_time", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["rabi_chevron", "ramsey_axis_scan", "calibrate"])
+def test_every_scan_rejects_a_rise_time_that_is_not_finite_and_non_negative(entry, rise_time):
+    # a dropped ramp would silently give the answer of a 0-ns rise time
+    with pytest.raises(ValueError, match="rise_time must be finite and non-negative"):
+        _scan_with_rise_time(entry, rise_time)
+
+
 @pytest.mark.parametrize("refinements", [-1, 1.5, True])
 def test_calibrate_amplitude_rejects_a_bad_refinement_count(refinements):
     p = demux_device()

@@ -160,6 +160,20 @@ def test_trace_preserved_with_decoherence():
     assert purity(result.final_state) < 1.0
 
 
+def test_run_reports_its_trace_drift_and_step_limit():
+    p = demux_device(t1=20.0, t2=10.0)
+    di = resonant_delta_i(p)
+    segments = ps.segments_from_schedule(ps.single_pulse_schedule(di, 50.0, 2.0))
+    result = ps.run_segments(p, segments, 0.05, ps.GROUND_STATE, 0.7)
+    assert result.trace_drift == abs(np.trace(result.final_state).real - 1.0)
+    assert result.trace_drift < 1e-13
+    # the fastest rate is the detuning at the first of the 40 rise-ramp steps
+    first_step = ps.freq_from_current(p, p.i_idle + di * 0.5 / 40) - p.f_cw
+    assert result.dt_limit_ns == pytest.approx(ps.DT_SAFETY_FACTOR / abs(first_step), rel=1e-12)
+    idle = ps.run_segments(p, [], 0.05, ps.GROUND_STATE, 0.7)
+    assert idle.trace_drift == 0.0 and idle.dt_limit_ns == math.inf
+
+
 def test_step_size_convergence_through_ramps():
     p = demux_device()
     di = resonant_delta_i(p) + 2.0
@@ -377,9 +391,15 @@ def test_device_rejects_nonpositive_drive_frequency():
 
 
 def test_device_rejects_nan_in_any_field():
-    # NaN never compares equal, so it would also defeat the segment-map memo
-    with pytest.raises(ValueError):
-        swap_device(i_idle=np.nan)
+    # NaN never compares equal, so it would also defeat the segment-map memo;
+    # inf is allowed only as t1 or t2, where it means no decay
+    for field in (*SWAP_DEVICE, "t1", "t2", "visibility"):
+        for value in (np.nan, np.inf, -np.inf):
+            if field in ("t1", "t2") and value == np.inf:
+                assert getattr(swap_device(**{field: value}), field) == np.inf
+                continue
+            with pytest.raises(ValueError, match="must be finite"):
+                swap_device(**{field: value})
 
 
 def test_device_is_hashable_with_a_list_of_dips():

@@ -188,22 +188,6 @@ def test_average_gate_fidelity_rejects_bad_args():
         qc.average_gate_fidelity(c, np.array([[1, 1], [0, 1]], dtype=complex))
 
 
-def test_matrix_text_round_trip():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    text = qc.format_matrix(m)
-    assert np.array_equal(qc.parse_matrix(text), m)
-    with_comments = "# header\n\n" + text
-    assert np.array_equal(qc.parse_matrix(with_comments), m)
-
-
-def test_parse_matrix_rejects_garbage():
-    with pytest.raises(ValueError):
-        qc.parse_matrix("# only comments\n")
-    with pytest.raises(ValueError):
-        qc.parse_matrix("1+0j 2+0j\n")
-
-
 def test_ptm_product_matches_a_left_fold():
     rng = np.random.default_rng(8)
     for n in range(10):

@@ -9,6 +9,30 @@ from fluxqubit import ConsistencyError, InvalidChannelError
 from fluxqubit import datafiles as df
 from fluxqubit import qcore as qc
 from fluxqubit import tomography as tm
+from fluxqubit.demux import QPT_GATES
+
+# gate -> (tilt axis, tilt angle rad, damping gamma) of the reference channels
+REFERENCE_RECIPES = {
+    "X90": ((0, 0, 1), 0.06, 0.015),
+    "Y-90": ((1, 0, 0), 0.05, 0.012),
+    "T": ((0, 1, 0), 0.08, 0.020),
+    "S": ((1, 1, 0), 0.10, 0.025),
+    "H": ((0, 1, 1), 0.09, 0.018),
+}
+
+
+def reference_choi(gate):
+    """A noisy channel whose average gate fidelity is REFERENCE_FIDELITIES[gate]:
+    a coherent tilt and amplitude damping after the ideal gate, then the
+    depolarizing admixture eta that lands on the target (F is affine in eta)."""
+    axis, angle, gamma = REFERENCE_RECIPES[gate]
+    damping = [np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex),
+               np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)]
+    u = tm.IDEAL_GATES[gate]
+    base = qc.choi_from_kraus([k @ qc.bloch_rotation(axis, angle) @ u for k in damping])
+    f_base = qc.average_gate_fidelity(base, u)
+    eta = (f_base - df.REFERENCE_FIDELITIES[gate]) / (f_base - 0.5)
+    return (1 - eta) * base + eta * np.eye(4, dtype=complex) / 2
 
 
 def rotation_matrix(axis, angle):
@@ -78,8 +102,8 @@ def test_reconstruct_identity_from_exact_record():
     assert np.linalg.norm(choi - qc.choi_from_unitary(qc.IDENTITY)) < 1e-6
 
 
-def test_reconstruct_round_trip_of_bundled_t_matrix():
-    reference = df.load_reference_choi("T")
+def test_reconstruct_round_trip_of_reference_t_channel():
+    reference = reference_choi("T")
     record = tm.MeasurementRecord(entries=tm.predict_all(reference), shots=None)
     choi, diag = tm.reconstruct(record)
     assert diag.converged
@@ -137,15 +161,15 @@ def test_reconstruction_is_unitarily_covariant():
         assert np.linalg.norm(choi - expected) < 1e-4
 
 
-def test_report_fidelities_for_bundled_matrices():
-    chois = [df.load_reference_choi(g) for g in df.REFERENCE_GATES]
-    rows = tm.report_fidelities(df.REFERENCE_GATES, chois)
+def test_report_fidelities_for_reference_channels():
+    chois = [reference_choi(g) for g in QPT_GATES]
+    rows = tm.report_fidelities(QPT_GATES, chois)
     for (name, fidelity), expected in zip(rows, df.REFERENCE_FIDELITIES.values()):
         assert abs(fidelity - expected) < 1e-3  # within 0.1 percentage point
 
 
 def test_report_fidelities_ideal_and_depolarizing():
-    names = list(df.REFERENCE_GATES)
+    names = list(QPT_GATES)
     ideal = [qc.choi_from_unitary(tm.IDEAL_GATES[n]) for n in names]
     for name, fidelity in tm.report_fidelities(names, ideal):
         assert abs(fidelity - 1.0) < 1e-9
@@ -315,9 +339,9 @@ def test_projection_that_does_not_converge_raises(monkeypatch):
     assert counts[0] > 1
 
 
-@pytest.mark.parametrize("gate", df.REFERENCE_GATES)
-def test_reconstruct_round_trip_of_every_bundled_matrix(gate):
-    reference = df.load_reference_choi(gate)
+@pytest.mark.parametrize("gate", QPT_GATES)
+def test_reconstruct_round_trip_of_every_reference_channel(gate):
+    reference = reference_choi(gate)
     assert np.linalg.norm(tm.project_cptp(reference) - reference) <= 1e-12
     record = tm.MeasurementRecord(entries=tm.predict_all(reference), shots=None)
     choi, diag = tm.reconstruct(record)
